@@ -8,15 +8,23 @@
 //! every stage reuses the exact code the simulator runs at startup,
 //! `WillFailParse`/`WillFailValidate` verdicts are sound by
 //! construction — the dynamic start cannot disagree.
+//!
+//! [`FaultLinter::lint_with`] is the same lint for a caller that has
+//! already applied and serialized the fault: the campaign engine
+//! parses its prepared text of the edited file once, the linter
+//! decides from that parse, and the simulator's startup reuses it.
+//! Both entries share one decision function and one memo, so they
+//! return identical lints; `lint` stays the self-contained path for
+//! the CLI, benchmarks and tests.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, LazyLock, Mutex};
 
-use conferr_formats::{format_by_name, ConfigFormat};
+use conferr_formats::{format_by_name, ConfigFormat, ParseError, TextParse};
 use conferr_model::{ConfigSet, ErrorClass, FaultScenario, TreeEdit, TypoKind};
-use conferr_tree::Node;
+use conferr_tree::{ConfTree, Node};
 
-use crate::schema::{Dialect, DirectiveSchema};
+use crate::schema::{Dialect, DirectiveSchema, FileSchema};
 use crate::touch::{touch_of_edits, FileTouch, TouchMap};
 use crate::verdict::StaticVerdict;
 
@@ -129,13 +137,32 @@ impl FaultLinter {
     /// Lints a fault's edit list. Memoized: repeated loads (chunk
     /// replays, multi-thread identity checks) hit the cache.
     pub fn lint(&self, edits: &[TreeEdit]) -> Lint {
+        self.lint_with(edits, |_, _| None)
+    }
+
+    /// Lints a fault's edit list like [`lint`](Self::lint), for a
+    /// caller that already holds the serialized edited file.
+    ///
+    /// On a memo miss for a single-edit fault on a schema file, the
+    /// linter calls `parse` with the edited file's name and its format
+    /// for that file. The caller returns that format's parse of the
+    /// file exactly as it would be started — apply, then serialize
+    /// with the same format — and the linter decides from it instead
+    /// of re-applying, re-serializing and re-parsing. `None` (no such
+    /// text: the edit did not apply or is inexpressible) falls back to
+    /// the self-contained path. Either way the memo is consulted once,
+    /// and only the lint is kept, never the parse.
+    pub fn lint_with<F>(&self, edits: &[TreeEdit], parse: F) -> Lint
+    where
+        F: FnOnce(&str, &dyn ConfigFormat) -> Option<Arc<TextParse>>,
+    {
         if edits.is_empty() {
             return Lint::identity();
         }
         if let Some(hit) = self.memo.lock().expect("linter memo poisoned").get(edits) {
             return hit.clone();
         }
-        let lint = self.lint_uncached(edits);
+        let lint = self.lint_uncached(edits, parse);
         let mut memo = self.memo.lock().expect("linter memo poisoned");
         if memo.len() >= MEMO_CAP {
             memo.clear();
@@ -144,7 +171,10 @@ impl FaultLinter {
         lint
     }
 
-    fn lint_uncached(&self, edits: &[TreeEdit]) -> Lint {
+    fn lint_uncached<F>(&self, edits: &[TreeEdit], parse: F) -> Lint
+    where
+        F: FnOnce(&str, &dyn ConfigFormat) -> Option<Arc<TextParse>>,
+    {
         if edits.len() > 1 {
             // Compound faults: per-edit path refinement against the
             // baseline is unsound (later edits see shifted paths), so
@@ -158,6 +188,14 @@ impl FaultLinter {
                 touch: Arc::new(touch),
                 diagnostic: None,
             };
+        }
+
+        let file = edits[0].file();
+        let schema_file = self.schema.file(file).zip(self.formats.get(file));
+        if let Some((fs, format)) = schema_file {
+            if let Some(parsed) = parse(file, format.as_ref()) {
+                return self.decide(edits, fs, parsed.result());
+            }
         }
 
         let probe = FaultScenario {
@@ -180,21 +218,16 @@ impl FaultLinter {
             };
         };
 
-        let file = edits[0].file();
-        let refined = touch_of_edits(self.schema, &self.baseline, edits);
-        let (Some(fs), Some(format)) = (self.schema.file(file), self.formats.get(file)) else {
-            return Lint {
-                verdict: StaticVerdict::Unknown,
-                touch: Arc::new(refined),
-                diagnostic: None,
-            };
+        let unknown = || Lint {
+            verdict: StaticVerdict::Unknown,
+            touch: Arc::new(touch_of_edits(self.schema, &self.baseline, edits)),
+            diagnostic: None,
+        };
+        let Some((fs, format)) = schema_file else {
+            return unknown();
         };
         let Some(tree) = edited.get(file) else {
-            return Lint {
-                verdict: StaticVerdict::Unknown,
-                touch: Arc::new(refined),
-                diagnostic: None,
-            };
+            return unknown();
         };
 
         // Round trip: the simulator starts from serialized bytes, so
@@ -203,13 +236,23 @@ impl FaultLinter {
         let Ok(text) = format.serialize(tree) else {
             // Inexpressible under the format; the campaign reports it
             // without starting the SUT.
-            return Lint {
-                verdict: StaticVerdict::Unknown,
-                touch: Arc::new(refined),
-                diagnostic: None,
-            };
+            return unknown();
         };
-        let reparsed = match format.parse(&text) {
+        self.decide(edits, fs, format.parse(&text).as_ref())
+    }
+
+    /// The decision both entries share: the verdict for a single-edit
+    /// fault on schema file `fs`, from the format's parse of the
+    /// edited file's serialized text.
+    fn decide(
+        &self,
+        edits: &[TreeEdit],
+        fs: &FileSchema,
+        parsed: Result<&ConfTree, &ParseError>,
+    ) -> Lint {
+        let file = fs.file;
+        let refined = || Arc::new(touch_of_edits(self.schema, &self.baseline, edits));
+        let reparsed = match parsed {
             Ok(tree) => tree,
             Err(e) => {
                 // The simulator will hit the same parser on the same
@@ -227,7 +270,7 @@ impl FaultLinter {
         if !fs.dialect.is_fully_modeled() {
             return Lint {
                 verdict: StaticVerdict::Unknown,
-                touch: Arc::new(refined),
+                touch: refined(),
                 diagnostic: None,
             };
         }
@@ -254,7 +297,7 @@ impl FaultLinter {
                     } else {
                         StaticVerdict::Unknown
                     },
-                    touch: Arc::new(refined),
+                    touch: refined(),
                     diagnostic: None,
                 }
             }
@@ -575,6 +618,70 @@ mod tests {
             Arc::ptr_eq(&a.touch, &b.touch),
             "second call must hit the memo"
         );
+    }
+
+    #[test]
+    fn lint_with_a_handed_parse_equals_the_self_contained_lint() {
+        let edits = [
+            TreeEdit::SetAttr {
+                file: "my.cnf".into(),
+                path: TreePath::root().child(0).child(0),
+                key: "name".into(),
+                value: "prot".into(),
+            },
+            TreeEdit::SetText {
+                file: "my.cnf".into(),
+                path: TreePath::root().child(0).child(2),
+                text: Some("# other notes".into()),
+            },
+            TreeEdit::SetText {
+                file: "my.cnf".into(),
+                path: TreePath::root().child(0).child(1),
+                text: Some("4194304".into()),
+            },
+        ];
+        let baseline = mysql_baseline();
+        for edit in edits {
+            let edits = [edit];
+            let reference = linter().lint(&edits);
+            // The caller's text: apply, then serialize with the format.
+            let probe = FaultScenario {
+                id: String::new(),
+                description: String::new(),
+                class: ErrorClass::Typo(TypoKind::Substitution),
+                edits: edits.to_vec(),
+            };
+            let edited = probe.apply(&baseline).unwrap();
+            let ini = IniFormat::new();
+            let text = ini.serialize(edited.get("my.cnf").unwrap()).unwrap();
+            let mut asked = None;
+            let shared = linter().lint_with(&edits, |file, format| {
+                asked = Some((file.to_string(), format.name().to_string()));
+                Some(Arc::new(TextParse::new(format, &text)))
+            });
+            assert_eq!(asked, Some(("my.cnf".into(), "ini".into())));
+            assert_eq!(shared.verdict, reference.verdict);
+            assert_eq!(shared.diagnostic, reference.diagnostic);
+            assert_eq!(shared.touch, reference.touch);
+        }
+    }
+
+    #[test]
+    fn lint_with_asks_for_a_parse_only_on_a_single_edit_miss() {
+        let l = linter();
+        let edit = TreeEdit::Delete {
+            file: "my.cnf".into(),
+            path: TreePath::root().child(0).child(2),
+        };
+        let never =
+            |_: &str, _: &dyn ConfigFormat| -> Option<Arc<TextParse>> { panic!("no parse needed") };
+        l.lint_with(&[], never);
+        l.lint_with(&[edit.clone(), edit.clone()], never);
+        // A miss without a handed parse falls back to the round trip,
+        // and the lint it memoizes serves the next call.
+        let first = l.lint_with(std::slice::from_ref(&edit), |_, _| None);
+        let hit = l.lint_with(std::slice::from_ref(&edit), never);
+        assert!(Arc::ptr_eq(&first.touch, &hit.touch));
     }
 
     #[test]

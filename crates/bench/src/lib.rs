@@ -242,6 +242,121 @@ pub fn table1_faultload(set: &ConfigSet, keyboard: &Keyboard, seed: u64) -> Vec<
     out
 }
 
+/// A Table 1-shaped load for djbdns. The §5.2 protocol targets
+/// `//directive` nodes, which a tinydns-data file does not have; the
+/// equivalent line-level load deletes each record, typos each
+/// record's payload, and corrupts record-type prefixes.
+pub fn djbdns_faultload(set: &ConfigSet) -> Vec<GeneratedFault> {
+    let query: NodeQuery = "//line".parse().expect("static query");
+    let keyboard = Keyboard::qwerty_us();
+    let mut out = Vec::new();
+    for (file, tree) in set.iter() {
+        for (path, node) in query.select_nodes(tree) {
+            out.push(GeneratedFault::Scenario(FaultScenario {
+                id: format!("djb-delete:{file}:{path}"),
+                description: format!("omit record {}", node.describe()),
+                class: ErrorClass::Structural(StructuralKind::DirectiveOmission),
+                edits: vec![TreeEdit::Delete {
+                    file: file.to_string(),
+                    path: path.clone(),
+                }],
+            }));
+            out.push(GeneratedFault::Scenario(FaultScenario {
+                id: format!("djb-type:{file}:{path}"),
+                description: "corrupt record-type prefix".into(),
+                class: ErrorClass::Typo(TypoKind::Substitution),
+                edits: vec![TreeEdit::SetAttr {
+                    file: file.to_string(),
+                    path: path.clone(),
+                    key: "type".to_string(),
+                    value: "!".to_string(),
+                }],
+            }));
+            let Some(payload) = node.text().filter(|t| !t.is_empty()) else {
+                continue;
+            };
+            // Deterministically corrupt the one field the loader
+            // checks (the IPv4 address), yielding an out-of-range
+            // octet — the WillFailValidate half of the gate.
+            if payload.contains("192.0.2.") {
+                out.push(GeneratedFault::Scenario(FaultScenario {
+                    id: format!("djb-ip:{file}:{path}"),
+                    description: "out-of-range IPv4 octet".into(),
+                    class: ErrorClass::Typo(TypoKind::Insertion),
+                    edits: vec![TreeEdit::SetText {
+                        file: file.to_string(),
+                        path: path.clone(),
+                        text: Some(payload.replacen("192.0.2.", "192.0.2222.", 1)),
+                    }],
+                }));
+            }
+            for (v, (mutated, label)) in all_typos(&keyboard, payload)
+                .into_iter()
+                .take(6)
+                .enumerate()
+            {
+                out.push(GeneratedFault::Scenario(FaultScenario {
+                    id: format!("djb-payload:{file}:{path}#{v}"),
+                    description: format!("payload typo: {label}"),
+                    class: ErrorClass::Typo(TypoKind::Substitution),
+                    edits: vec![TreeEdit::SetText {
+                        file: file.to_string(),
+                        path: path.clone(),
+                        text: Some(mutated),
+                    }],
+                }));
+            }
+        }
+    }
+    out
+}
+
+/// A Table 1-shaped load for the XML application server. The §5.2
+/// protocol targets `//directive` nodes, which `server.xml` does not
+/// have (so [`table1_faultload`] yields nothing for it); the
+/// equivalent element-level load deletes each element, typos each
+/// element's tag, and typos each element's attribute text.
+pub fn appserver_faultload(set: &ConfigSet, keyboard: &Keyboard) -> Vec<GeneratedFault> {
+    let query: NodeQuery = "//element".parse().expect("static query");
+    let mut out = Vec::new();
+    for (file, tree) in set.iter() {
+        for (path, node) in query.select_nodes(tree) {
+            out.push(GeneratedFault::Scenario(FaultScenario {
+                id: format!("xml-delete:{file}:{path}"),
+                description: format!("omit element {}", node.describe()),
+                class: ErrorClass::Structural(StructuralKind::DirectiveOmission),
+                edits: vec![TreeEdit::Delete {
+                    file: file.to_string(),
+                    path: path.clone(),
+                }],
+            }));
+            for (key, per_element) in [("tag", 3), ("raw_attrs", 6)] {
+                let Some(value) = node.attr(key).filter(|v| !v.is_empty()) else {
+                    continue;
+                };
+                for (v, (mutated, label)) in all_typos(keyboard, value)
+                    .into_iter()
+                    .take(per_element)
+                    .enumerate()
+                {
+                    out.push(GeneratedFault::Scenario(FaultScenario {
+                        id: format!("xml-{key}:{file}:{path}#{v}"),
+                        description: format!("{key} typo: {label}"),
+                        class: ErrorClass::Typo(TypoKind::Substitution),
+                        edits: vec![TreeEdit::SetAttr {
+                            file: file.to_string(),
+                            path: path.clone(),
+                            key: key.to_string(),
+                            value: mutated,
+                        }],
+                    }));
+                }
+            }
+        }
+    }
+    out
+}
+
 /// One Table 1 column: runs the §5.2 protocol against one system.
 ///
 /// # Errors

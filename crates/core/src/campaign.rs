@@ -14,7 +14,9 @@
 //! pointer-shared with the baseline is neither re-serialized nor
 //! diffed — its shared text (plus precomputed content identity) is
 //! handed to the SUT, whose [`conferr_sut::ParseCache`] then skips
-//! re-parsing it at startup. For multi-core throughput,
+//! re-parsing it at startup. A novel single-edit fault's one mutated
+//! file is parsed once, by the engine: the linter decides from that
+//! parse and the SUT's startup reuses it. For multi-core throughput,
 //! [`crate::ParallelCampaign`] shards a fault load across worker
 //! threads over the same shared engine.
 
@@ -670,9 +672,9 @@ impl InjectionEngine {
     ) -> InjectionOutcome {
         match fault {
             GeneratedFault::Scenario(scenario) => {
-                let lint = self.lint(&scenario.edits);
-                let verdict = self.annotate(lint.as_ref());
                 let prepared = self.prepare(&scenario);
+                let (lint, parsed_payload) = self.lint(&scenario.edits, &prepared);
+                let verdict = self.annotate(lint.as_ref());
                 // `diff` clones below are `Arc` refcount bumps: every
                 // outcome of the same preparation shares one line
                 // allocation (ROADMAP perf idea: no per-outcome
@@ -683,7 +685,7 @@ impl InjectionEngine {
                             Some(result) => result,
                             None => self.start_and_classify(
                                 sut,
-                                payload,
+                                parsed_payload.as_ref().unwrap_or(payload),
                                 lint.as_ref().map(|l| &*l.touch),
                             ),
                         };
@@ -733,8 +735,41 @@ impl InjectionEngine {
 
     /// Lints one scenario's edit list through the shared linter, when
     /// the engine has one.
-    fn lint(&self, edits: &[TreeEdit]) -> Option<Lint> {
-        self.analysis.as_ref().map(|a| a.linter.lint(edits))
+    ///
+    /// On a linter-memo miss for a single-edit fault, the prepared
+    /// text of the edited file is parsed once, with the linter's
+    /// format: the linter decides from that parse, and the returned
+    /// per-fault payload carries it to the SUT's startup (see
+    /// [`FileText::with_parse`]), so the text is not parsed again
+    /// there. The copy lives only for this fault: the memoized
+    /// `Prepared` never holds a parse. A memo hit parses nothing and
+    /// returns no payload.
+    fn lint(
+        &self,
+        edits: &[TreeEdit],
+        prepared: &Prepared,
+    ) -> (Option<Lint>, Option<ConfigPayload>) {
+        let Some(analysis) = self.analysis.as_ref() else {
+            return (None, None);
+        };
+        let mut parsed_payload = None;
+        let lint = analysis.linter.lint_with(edits, |file, format| {
+            let Prepared::Ready { payload, .. } = prepared else {
+                return None;
+            };
+            // The linter must see a parse of the exact bytes the SUT
+            // starts from, which this engine serialized.
+            if self.formats.get(file)?.name() != format.name() {
+                return None;
+            }
+            let text = payload.get(file)?.with_parse(format);
+            let parse = Arc::clone(text.carried_parse()?);
+            let mut per_fault = payload.clone();
+            per_fault.insert(file, text);
+            parsed_payload = Some(per_fault);
+            Some(parse)
+        });
+        (Some(lint), parsed_payload)
     }
 
     /// The verdict an outcome row carries: the lint's verdict, with
@@ -1164,6 +1199,76 @@ mod tests {
                     .unwrap()
             );
         }
+    }
+
+    /// Forwards to MySQL, counting the payload files that arrive
+    /// carrying a parse.
+    #[derive(Debug, Default)]
+    struct ParseSpy {
+        inner: MySqlSim,
+        starts: usize,
+        carried: usize,
+    }
+
+    impl SystemUnderTest for ParseSpy {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn config_files(&self) -> Vec<conferr_sut::ConfigFileSpec> {
+            self.inner.config_files()
+        }
+        fn start(&mut self, configs: &ConfigPayload, deadline: &Deadline) -> StartOutcome {
+            self.starts += 1;
+            self.carried += configs
+                .iter()
+                .filter(|(_, file)| file.carried_parse().is_some())
+                .count();
+            self.inner.start(configs, deadline)
+        }
+        fn test_names(&self) -> Vec<String> {
+            self.inner.test_names()
+        }
+        fn run_test(&mut self, test: &str, deadline: &Deadline) -> conferr_sut::TestOutcome {
+            self.inner.run_test(test, deadline)
+        }
+        fn stop(&mut self) {
+            self.inner.stop();
+        }
+        fn schema(&self) -> Option<&'static conferr_analysis::DirectiveSchema> {
+            self.inner.schema()
+        }
+    }
+
+    #[test]
+    fn novel_faults_hand_one_parse_to_the_sut_and_the_memo_keeps_none() {
+        let mut sut = ParseSpy::default();
+        let mut campaign = Campaign::new(&mut sut).unwrap();
+        let faults = TypoPlugin::new(Keyboard::qwerty_us(), TokenClass::DirectiveValues)
+            .with_kinds([TypoKind::Substitution])
+            .generate(campaign.baseline())
+            .unwrap();
+        let total = faults.len();
+        campaign.run_faults(faults.clone()).unwrap();
+        {
+            let memo = campaign.engine.memo.lock();
+            assert_eq!(memo.len(), total);
+            for prepared in memo.values() {
+                let Prepared::Ready { payload, .. } = prepared.as_ref() else {
+                    panic!("value typos are expressible");
+                };
+                for (file, text) in payload.iter() {
+                    assert!(text.carried_parse().is_none(), "{file} kept a parse");
+                }
+            }
+        }
+        // The second pass hits the linter memo: nothing is parsed for
+        // the linter, so nothing is handed over.
+        campaign.run_faults(faults).unwrap();
+        drop(campaign);
+        // One scout start on the baseline, then two per fault; only
+        // the first pass's starts received the linter's parse.
+        assert_eq!(sut.starts, 1 + 2 * total);
+        assert_eq!(sut.carried, total);
     }
 
     #[test]

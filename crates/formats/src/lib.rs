@@ -96,6 +96,48 @@ pub trait ConfigFormat: std::fmt::Debug + Send + Sync {
     fn serialize(&self, tree: &ConfTree) -> Result<String, SerializeError>;
 }
 
+/// One format's parse of one text: the tree, or the parser's error,
+/// tagged with the format's [`ConfigFormat::name`].
+///
+/// The campaign engine parses a fault's mutated file once and hands
+/// the same `TextParse` to the static linter and to the simulator's
+/// startup path, so neither parses those bytes again.
+///
+/// # Examples
+///
+/// ```
+/// use conferr_formats::{KvFormat, TextParse};
+///
+/// let parse = TextParse::new(&KvFormat::new(), "port = 5432\n");
+/// assert_eq!(parse.format(), "kv");
+/// assert!(parse.result().is_ok());
+/// ```
+#[derive(Debug)]
+pub struct TextParse {
+    format: String,
+    result: Result<ConfTree, ParseError>,
+}
+
+impl TextParse {
+    /// Parses `text` with `format`.
+    pub fn new(format: &dyn ConfigFormat, text: &str) -> Self {
+        TextParse {
+            format: format.name().to_string(),
+            result: format.parse(text),
+        }
+    }
+
+    /// The name of the format that parsed the text.
+    pub fn format(&self) -> &str {
+        &self.format
+    }
+
+    /// The parsed tree, or the parser's error.
+    pub fn result(&self) -> Result<&ConfTree, &ParseError> {
+        self.result.as_ref()
+    }
+}
+
 /// All built-in formats, for registry-style lookup.
 pub fn builtin_formats() -> Vec<Box<dyn ConfigFormat>> {
     vec![
@@ -130,5 +172,21 @@ mod tests {
     fn format_by_name_finds_and_misses() {
         assert!(format_by_name("zone").is_some());
         assert!(format_by_name("toml").is_none());
+    }
+
+    #[test]
+    fn text_parse_keeps_the_tree_or_the_error() {
+        let ini = IniFormat::new();
+        let ok = TextParse::new(&ini, "[mysqld]\nport=3306\n");
+        assert_eq!(ok.format(), "ini");
+        assert_eq!(
+            ini.serialize(ok.result().unwrap()).unwrap(),
+            "[mysqld]\nport=3306\n"
+        );
+        let err = TextParse::new(&ini, "[mysqld\n");
+        assert_eq!(
+            err.result().unwrap_err(),
+            &ini.parse("[mysqld\n").unwrap_err()
+        );
     }
 }

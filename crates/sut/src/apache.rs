@@ -25,7 +25,8 @@ use std::sync::Arc;
 
 use conferr_analysis::apache::{startup_model, validate_tree, StartupModel};
 use conferr_analysis::{Dialect, DirectiveSchema, APACHE_SCHEMA};
-use conferr_formats::{ApacheFormat, ConfigFormat};
+use conferr_formats::{ApacheFormat, ParseError};
+use conferr_tree::ConfTree;
 
 use crate::minihttp::{HttpService, VirtualFs, VirtualHost};
 use crate::{
@@ -209,15 +210,15 @@ impl ApacheSim {
         self.running.as_ref().map(|r| r.service.as_ref())
     }
 
-    /// The full startup path: parse, validate every directive, build
-    /// the HTTP service. Pure in the configuration text. Validation
+    /// The full startup path from `httpd.conf`'s parse: validate
+    /// every directive, build the HTTP service. Pure in the
+    /// configuration text the parse was made from. Validation
     /// and model extraction live in `conferr_analysis::apache` —
     /// shared verbatim with the static linter — and the service is
     /// assembled infallibly from the extracted [`StartupModel`].
-    fn parse_and_validate(text: &str) -> ApacheStartup {
-        let tree = ApacheFormat::new()
-            .parse(text)
-            .map_err(|e| Dialect::ApacheHttpd.parse_failure_diagnostic(&e.to_string()))?;
+    fn parse_and_validate(parsed: Result<&ConfTree, &ParseError>) -> ApacheStartup {
+        let tree =
+            parsed.map_err(|e| Dialect::ApacheHttpd.parse_failure_diagnostic(&e.to_string()))?;
         validate_tree(tree.root()).map_err(|v| v.message)?;
         let model = startup_model(tree.root()).map_err(|v| v.message)?;
         Ok((Arc::new(Self::service_from_model(&model)), model.warnings))
@@ -266,9 +267,12 @@ impl SystemUnderTest for ApacheSim {
                 diagnostic: "httpd: could not open document config file httpd.conf".to_string(),
             };
         };
-        let startup = self
-            .cache
-            .get_or_parse("httpd.conf", file, Self::parse_and_validate);
+        let startup = self.cache.get_or_build(
+            "httpd.conf",
+            file,
+            &ApacheFormat::new(),
+            Self::parse_and_validate,
+        );
         match startup.as_ref() {
             Ok((service, warnings)) => {
                 self.running = Some(Running {
@@ -332,6 +336,7 @@ impl SystemUnderTest for ApacheSim {
 mod tests {
     use super::*;
     use crate::default_configs;
+    use conferr_formats::ConfigFormat;
 
     fn start_with(patch: impl Fn(&mut String)) -> (ApacheSim, StartOutcome) {
         let mut sut = ApacheSim::new();

@@ -19,8 +19,8 @@
 use std::sync::Arc;
 
 use conferr_analysis::{Dialect, DirectiveSchema, APPSERVER_SCHEMA};
-use conferr_formats::{xml_parse_attrs, ConfigFormat, XmlFormat};
-use conferr_tree::Node;
+use conferr_formats::{xml_parse_attrs, ParseError, XmlFormat};
+use conferr_tree::{ConfTree, Node};
 
 use crate::{
     CacheStats, ConfigFileSpec, ConfigPayload, Deadline, ParseCache, StartOutcome, SystemUnderTest,
@@ -82,13 +82,13 @@ impl AppServerSim {
         AppServerSim::default()
     }
 
-    /// The full startup path: parse `server.xml`, validate every
+    /// The full startup path from `server.xml`'s parse: validate every
     /// element against the schema, enforce the cross-element
-    /// constraints. Pure in the configuration text.
-    fn parse_and_validate(text: &str) -> ServerStartup {
-        let tree = XmlFormat::new()
-            .parse(text)
-            .map_err(|e| Dialect::AppServerXml.parse_failure_diagnostic(&e.to_string()))?;
+    /// constraints. Pure in the configuration text the parse was made
+    /// from.
+    fn parse_and_validate(parsed: Result<&ConfTree, &ParseError>) -> ServerStartup {
+        let tree =
+            parsed.map_err(|e| Dialect::AppServerXml.parse_failure_diagnostic(&e.to_string()))?;
         let mut state = Running::default();
         let mut hosts = Vec::new();
         let mut default_hosts = Vec::new();
@@ -227,9 +227,12 @@ impl SystemUnderTest for AppServerSim {
                 diagnostic: "cannot open server.xml".to_string(),
             };
         };
-        let startup = self
-            .cache
-            .get_or_parse("server.xml", file, Self::parse_and_validate);
+        let startup = self.cache.get_or_build(
+            "server.xml",
+            file,
+            &XmlFormat::new(),
+            Self::parse_and_validate,
+        );
         match startup.as_ref() {
             Ok(state) => {
                 self.running = Some(Arc::clone(state));

@@ -14,7 +14,7 @@
 //! reverse zone" — zone-liveness SOA probes, not per-record audits.
 
 use conferr_analysis::{Dialect, DirectiveSchema, BIND_SCHEMA};
-use conferr_formats::{ConfigFormat, ZoneFormat};
+use conferr_formats::{ParseError, ZoneFormat};
 use conferr_tree::ConfTree;
 
 use crate::minidns::{QType, ZoneStore};
@@ -85,13 +85,13 @@ impl BindSim {
         BindSim::default()
     }
 
-    /// The full per-zone startup path: parse the master file and run
-    /// BIND's zone sanity checks. Pure in `(file, text)`.
-    fn parse_zone(file: &str, text: &str) -> ZoneParse {
-        let tree = ZoneFormat::new()
-            .parse(text)
-            .map_err(|e| Dialect::BindZone.parse_failure_diagnostic(&e.to_string()))?;
-        Self::load_zone(file, &tree)
+    /// The full per-zone startup path from the master file's parse:
+    /// BIND's zone sanity checks. Pure in `file` and the text the
+    /// parse was made from.
+    fn parse_zone(file: &str, parsed: Result<&ConfTree, &ParseError>) -> ZoneParse {
+        let tree =
+            parsed.map_err(|e| Dialect::BindZone.parse_failure_diagnostic(&e.to_string()))?;
+        Self::load_zone(file, tree)
     }
 
     /// Shared access to the loaded zone store (for assertions).
@@ -305,7 +305,9 @@ impl SystemUnderTest for BindSim {
             };
             let parsed = self
                 .cache
-                .get_or_parse(file, file_text, |text| Self::parse_zone(file, text));
+                .get_or_build(file, file_text, &ZoneFormat::new(), |parsed| {
+                    Self::parse_zone(file, parsed)
+                });
             match parsed.as_ref() {
                 Ok((apex, records)) => {
                     store.add_zone(apex);

@@ -16,7 +16,8 @@ use std::sync::Arc;
 
 use conferr_analysis::tinydns::check_line;
 use conferr_analysis::{Dialect, DirectiveSchema, DJBDNS_SCHEMA};
-use conferr_formats::{tinydns_fields, ConfigFormat, TinyDnsFormat};
+use conferr_formats::{tinydns_fields, ParseError, TinyDnsFormat};
+use conferr_tree::ConfTree;
 
 use crate::minidns::{QType, ZoneStore};
 use crate::{
@@ -66,14 +67,12 @@ impl DjbdnsSim {
         self.running.as_ref().map(|r| r.store.as_ref())
     }
 
-    /// The full startup path: parse the tinydns data file, run the
-    /// shared syntax check (the same `conferr_analysis::tinydns`
+    /// The full startup path from the tinydns data file's parse: run
+    /// the shared syntax check (the same `conferr_analysis::tinydns`
     /// model the static linter uses), then load every line. Pure in
-    /// the text.
-    fn parse_data(text: &str) -> DataParse {
-        let tree = TinyDnsFormat::new()
-            .parse(text)
-            .map_err(|e| Dialect::TinyDns.parse_failure_diagnostic(&e.to_string()))?;
+    /// the text the parse was made from.
+    fn parse_data(parsed: Result<&ConfTree, &ParseError>) -> DataParse {
+        let tree = parsed.map_err(|e| Dialect::TinyDns.parse_failure_diagnostic(&e.to_string()))?;
         let mut store = ZoneStore::new();
         for (i, node) in tree.root().children().iter().enumerate() {
             if node.kind() != "line" {
@@ -193,7 +192,9 @@ impl SystemUnderTest for DjbdnsSim {
                 diagnostic: "tinydns-data: fatal: unable to open data".to_string(),
             };
         };
-        let parsed = self.cache.get_or_parse("data", file, Self::parse_data);
+        let parsed = self
+            .cache
+            .get_or_build("data", file, &TinyDnsFormat::new(), Self::parse_data);
         match parsed.as_ref() {
             Ok(store) => {
                 self.running = Some(Running {

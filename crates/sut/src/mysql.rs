@@ -32,7 +32,8 @@ use conferr_analysis::mysql::{
     check_dump_config, validate_server_config, DEFAULT_PORT, SERVER_REGISTRY,
 };
 use conferr_analysis::{Dialect, DirectiveSchema, MYSQL_SCHEMA};
-use conferr_formats::{ConfigFormat, IniFormat};
+use conferr_formats::{ConfigFormat, IniFormat, ParseError};
+use conferr_tree::ConfTree;
 
 use crate::directive::ValueType;
 use crate::minidb::{Engine, EngineLimits};
@@ -149,13 +150,13 @@ impl MySqlSim {
             .and_then(|r| r.vars.get(name).map(String::as_str))
     }
 
-    /// The full startup path: parse `my.cnf`, absorb the `[mysqld]`
-    /// group with MySQL's lenient value discipline, check path-valued
-    /// directives. Pure in the configuration text.
-    fn parse_and_validate(text: &str) -> MySqlStartup {
-        let tree = IniFormat::new()
-            .parse(text)
-            .map_err(|e| Dialect::MySqlIni.parse_failure_diagnostic(&e.to_string()))?;
+    /// The full startup path from `my.cnf`'s parse: absorb the
+    /// `[mysqld]` group with MySQL's lenient value discipline, check
+    /// path-valued directives. Pure in the configuration text the
+    /// parse was made from.
+    fn parse_and_validate(parsed: Result<&ConfTree, &ParseError>) -> MySqlStartup {
+        let tree =
+            parsed.map_err(|e| Dialect::MySqlIni.parse_failure_diagnostic(&e.to_string()))?;
         // The lenient value discipline, section skipping and path
         // checks live in `conferr_analysis::mysql` — shared verbatim
         // with the static linter, so its verdicts cannot drift from
@@ -203,9 +204,9 @@ impl SystemUnderTest for MySqlSim {
                 diagnostic: "could not open required defaults file: my.cnf".to_string(),
             };
         };
-        let startup = self
-            .cache
-            .get_or_parse("my.cnf", file, Self::parse_and_validate);
+        let startup =
+            self.cache
+                .get_or_build("my.cnf", file, &IniFormat::new(), Self::parse_and_validate);
         match startup.as_ref() {
             Ok(blueprint) => {
                 self.running = Some(Running {

@@ -31,11 +31,25 @@
 //!   mutated-origin entries live in a FIFO-bounded window so unbounded
 //!   campaigns cannot grow the cache without limit.
 //!
+//! A novel fault misses the cache, but its text need not be parsed
+//! twice: the campaign engine already parsed it once for the static
+//! linter. A [`FileText`] can carry that parse
+//! ([`FileText::with_parse`] is the only way to attach one, and it
+//! parses the `FileText`'s own bytes), tagged with the format's name.
+//! [`ParseCache::get_or_build`] starts a simulator's
+//! parse-and-validate path from a carried parse of the simulator's own
+//! format instead of parsing the text again. The engine attaches the
+//! parse to a per-fault copy only, so nothing that outlives the fault
+//! (the engine's fault memo, the parse cache's entries) holds it.
+//!
 //! [`SystemUnderTest::start`]: crate::SystemUnderTest::start
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
+
+use conferr_formats::{ConfigFormat, ParseError, TextParse};
+use conferr_tree::ConfTree;
 
 /// Stable identity of one exact configuration text: the 64-bit
 /// FNV-1a hash of its bytes.
@@ -94,13 +108,21 @@ pub struct FileText {
     text: Arc<str>,
     id: ContentId,
     origin: TextOrigin,
+    /// A parse of exactly `text`, when one was attached with
+    /// [`FileText::with_parse`].
+    parse: Option<Arc<TextParse>>,
 }
 
 impl FileText {
     fn new(text: impl Into<Arc<str>>, origin: TextOrigin) -> Self {
         let text = text.into();
         let id = ContentId::of(&text);
-        FileText { text, id, origin }
+        FileText {
+            text,
+            id,
+            origin,
+            parse: None,
+        }
     }
 
     /// Wraps baseline text (pinned when cached).
@@ -132,6 +154,44 @@ impl FileText {
     /// The retention class this text was tagged with.
     pub fn origin(&self) -> TextOrigin {
         self.origin
+    }
+
+    /// A copy of this file (same shared text, identity and origin)
+    /// carrying `format`'s parse of its own text.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use conferr_formats::KvFormat;
+    /// use conferr_sut::FileText;
+    ///
+    /// let file = FileText::mutated("port = 5432\n");
+    /// assert!(file.carried_parse().is_none());
+    /// let parsed = file.with_parse(&KvFormat::new());
+    /// assert_eq!(parsed.text(), file.text());
+    /// assert!(parsed.parsed_by("kv").is_some_and(|p| p.is_ok()));
+    /// // Tagged with the format's name: no other format can use it.
+    /// assert!(parsed.parsed_by("ini").is_none());
+    /// ```
+    pub fn with_parse(&self, format: &dyn ConfigFormat) -> FileText {
+        FileText {
+            parse: Some(Arc::new(TextParse::new(format, &self.text))),
+            ..self.clone()
+        }
+    }
+
+    /// The parse this copy carries, if any.
+    pub fn carried_parse(&self) -> Option<&Arc<TextParse>> {
+        self.parse.as_ref()
+    }
+
+    /// The carried parse's result, when the format named `format`
+    /// made it.
+    pub fn parsed_by(&self, format: &str) -> Option<Result<&ConfTree, &ParseError>> {
+        self.parse
+            .as_deref()
+            .filter(|p| p.format() == format)
+            .map(TextParse::result)
     }
 }
 
@@ -441,6 +501,39 @@ impl<T> ParseCache<T> {
         value
     }
 
+    /// [`get_or_parse`](Self::get_or_parse) for a startup path that
+    /// begins with `format`'s parse of the text: `build` turns that
+    /// parse (the tree, or the parser's error) into the memoized
+    /// representation.
+    ///
+    /// On a miss, a parse `file` carries from the same format (see
+    /// [`FileText::with_parse`]) stands in for parsing the text again.
+    /// It is the same parser's result on the same bytes, so the
+    /// outcome cannot differ; the lookup still counts as a miss. While
+    /// the cache is disabled the carried parse is ignored and the text
+    /// is parsed afresh, so the uncached reference path never depends
+    /// on the hand-over.
+    pub fn get_or_build<F>(
+        &mut self,
+        file_name: &str,
+        file: &FileText,
+        format: &dyn ConfigFormat,
+        build: F,
+    ) -> Arc<T>
+    where
+        F: FnOnce(Result<&ConfTree, &ParseError>) -> T,
+    {
+        let carried = if self.enabled {
+            file.parsed_by(format.name())
+        } else {
+            None
+        };
+        self.get_or_parse(file_name, file, |text| match carried {
+            Some(parsed) => build(parsed),
+            None => build(format.parse(text).as_ref()),
+        })
+    }
+
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -560,6 +653,50 @@ mod tests {
         cache.get_or_parse("f", &base, |_| 3);
         cache.get_or_parse("f", &base, |_| unreachable!());
         assert_eq!(cache.stats().hits, 1);
+    }
+
+    #[test]
+    fn carried_parse_stands_in_for_a_miss_only_while_enabled() {
+        use conferr_formats::{IniFormat, KvFormat};
+        // What `build` saw: the number of top-level nodes, which
+        // differs between the kv and ini parses of this text.
+        let text = "[s]\nport = 1\n";
+        let kv_nodes = KvFormat::new().parse(text).unwrap().root().children().len();
+        let ini_nodes = IniFormat::new()
+            .parse(text)
+            .unwrap()
+            .root()
+            .children()
+            .len();
+        assert_ne!(kv_nodes, ini_nodes);
+        let carried = FileText::mutated(text).with_parse(&KvFormat::new());
+        let nodes = |p: Result<&ConfTree, &ParseError>| p.unwrap().root().children().len();
+
+        // A parse by another format is ignored: the text is parsed.
+        let mut cache: ParseCache<usize> = ParseCache::new();
+        assert_eq!(
+            *cache.get_or_build("f", &carried, &IniFormat::new(), nodes),
+            ini_nodes
+        );
+
+        // The matching format uses the carried parse; a miss, not a hit.
+        let mut cache: ParseCache<usize> = ParseCache::new();
+        assert_eq!(
+            *cache.get_or_build("f", &carried, &KvFormat::new(), nodes),
+            kv_nodes
+        );
+        assert_eq!((cache.stats().hits, cache.stats().misses), (0, 1));
+        // The entry keeps the built value, never the parse.
+        assert_eq!(Arc::strong_count(carried.carried_parse().unwrap()), 1);
+
+        // Disabled: parsed from text, the carried parse unused.
+        cache.set_enabled(false);
+        let unused = |_: Result<&ConfTree, &ParseError>| 7;
+        assert_eq!(
+            *cache.get_or_build("f", &carried, &KvFormat::new(), unused),
+            7
+        );
+        assert_eq!(cache.stats().bypassed, 1);
     }
 
     #[test]

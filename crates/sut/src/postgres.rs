@@ -21,7 +21,8 @@ use std::sync::Arc;
 
 use conferr_analysis::postgres::{validate_config, REGISTRY};
 use conferr_analysis::{Dialect, DirectiveSchema, POSTGRES_SCHEMA};
-use conferr_formats::{ConfigFormat, KvFormat};
+use conferr_formats::{KvFormat, ParseError};
+use conferr_tree::ConfTree;
 
 use crate::directive::ValueType;
 use crate::minidb::{Engine, EngineLimits};
@@ -113,14 +114,13 @@ impl PostgresSim {
             .and_then(|r| r.vars.get(name).map(String::as_str))
     }
 
-    /// The full startup path: parse `postgresql.conf`, validate every
-    /// parameter strictly, enforce the cross-directive constraints.
-    /// Pure in the configuration text; errors carry the exact FATAL
-    /// diagnostic.
-    fn parse_and_validate(text: &str) -> PostgresStartup {
-        let tree = KvFormat::new()
-            .parse(text)
-            .map_err(|e| Dialect::PostgresKv.parse_failure_diagnostic(&e.to_string()))?;
+    /// The full startup path from `postgresql.conf`'s parse: validate
+    /// every parameter strictly, enforce the cross-directive
+    /// constraints. Pure in the configuration text the parse was made
+    /// from; errors carry the exact FATAL diagnostic.
+    fn parse_and_validate(parsed: Result<&ConfTree, &ParseError>) -> PostgresStartup {
+        let tree =
+            parsed.map_err(|e| Dialect::PostgresKv.parse_failure_diagnostic(&e.to_string()))?;
         // Strict per-parameter validation and the cross-directive
         // constraints live in `conferr_analysis::postgres` — shared
         // verbatim with the static linter.
@@ -159,9 +159,12 @@ impl SystemUnderTest for PostgresSim {
                 diagnostic: "could not open postgresql.conf".to_string(),
             };
         };
-        let startup = self
-            .cache
-            .get_or_parse("postgresql.conf", file, Self::parse_and_validate);
+        let startup = self.cache.get_or_build(
+            "postgresql.conf",
+            file,
+            &KvFormat::new(),
+            Self::parse_and_validate,
+        );
         match startup.as_ref() {
             Ok(blueprint) => {
                 self.running = Some(Running {

@@ -18,13 +18,13 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use conferr::{profile_to_json, Campaign, ResilienceProfile};
-use conferr_bench::{table1_faultload, DEFAULT_SEED};
+use conferr_bench::{appserver_faultload, table1_faultload, DEFAULT_SEED};
 use conferr_formats::{format_by_name, ConfigFormat};
 use conferr_keyboard::Keyboard;
 use conferr_model::{ConfigSet, GeneratedFault};
 use conferr_sut::{
-    ApacheSim, BindSim, ConfigPayload, Deadline, DjbdnsSim, FileText, MySqlSim, PostgresSim,
-    SystemUnderTest,
+    ApacheSim, AppServerSim, BindSim, ConfigPayload, Deadline, DjbdnsSim, FileText, MySqlSim,
+    PostgresSim, SystemUnderTest,
 };
 
 /// Runs the full Table 1 fault load through a serial campaign with
@@ -76,6 +76,29 @@ fn cached_profile_is_byte_identical_to_uncached_apache() {
 #[test]
 fn cached_profile_is_byte_identical_to_uncached_bind() {
     assert_cached_equals_uncached(|| Box::new(BindSim::new()));
+}
+
+#[test]
+fn cached_profile_is_byte_identical_to_uncached_appserver() {
+    // `table1_faultload` yields no faults for `server.xml`; the
+    // element-level load exercises the appserver's cache instead.
+    let run = |caching: bool| {
+        let mut sut = AppServerSim::new();
+        sut.set_parse_caching(caching);
+        let mut campaign = Campaign::new(&mut sut).expect("campaign");
+        campaign.set_fault_memoization(caching);
+        let faults = appserver_faultload(campaign.baseline(), &Keyboard::qwerty_us());
+        assert!(faults.len() > 30, "server.xml must yield a real load");
+        let profile = campaign.run_faults(faults).expect("run");
+        drop(campaign);
+        (profile, sut.parse_cache_stats().expect("cache"))
+    };
+    let (uncached, cold) = run(false);
+    assert_eq!(cold.hits, 0, "disabled cache must never hit");
+    assert_eq!(cold.entries, 0, "disabled cache must store nothing");
+    let (cached, warm) = run(true);
+    assert!(warm.misses > 0, "first sighting always parses in full");
+    assert_eq!(profile_to_json(&uncached), profile_to_json(&cached));
 }
 
 #[test]

@@ -1,0 +1,226 @@
+//! Shared-parse identity: a simulator start that reuses the campaign
+//! engine's parse of a fault's mutated file (see
+//! `conferr_sut::FileText::with_parse`) must be indistinguishable from
+//! a start that parses the text itself.
+//!
+//! * Fault by fault, over each of the six systems' loads, a start
+//!   handed the parse equals an uncached (`set_parse_caching(false)`)
+//!   start from text: the start outcome and every functional test.
+//! * A parse made by a different format is ignored.
+//! * Executor profiles at 1/2/4 threads, where the engine hands the
+//!   parse over, are byte-identical to the serial reference with the
+//!   fault memo and the parse cache both off.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use conferr::{
+    profile_to_json, sut_factory, Campaign, CampaignExecutor, ExecutorCampaign, SutFactory,
+};
+use conferr_bench::{appserver_faultload, djbdns_faultload, table1_faultload, DEFAULT_SEED};
+use conferr_formats::{builtin_formats, format_by_name, ConfigFormat};
+use conferr_keyboard::Keyboard;
+use conferr_model::{ConfigSet, GeneratedFault};
+use conferr_sut::{
+    ApacheSim, AppServerSim, BindSim, ConfigPayload, Deadline, DjbdnsSim, FileText, MySqlSim,
+    PostgresSim, StartOutcome, SystemUnderTest, TestOutcome,
+};
+
+type Load = fn(&ConfigSet) -> Vec<GeneratedFault>;
+
+fn table1(set: &ConfigSet) -> Vec<GeneratedFault> {
+    table1_faultload(set, &Keyboard::qwerty_us(), DEFAULT_SEED)
+}
+
+fn appserver(set: &ConfigSet) -> Vec<GeneratedFault> {
+    appserver_faultload(set, &Keyboard::qwerty_us())
+}
+
+/// The engine-shaped pieces, built by hand: parsed baseline, per-file
+/// formats and baseline payload.
+struct Replayer {
+    baseline: ConfigSet,
+    formats: BTreeMap<String, Box<dyn ConfigFormat>>,
+    baseline_payload: ConfigPayload,
+}
+
+impl Replayer {
+    fn new(sut: &dyn SystemUnderTest) -> Self {
+        let mut baseline = ConfigSet::new();
+        let mut formats = BTreeMap::new();
+        let mut baseline_payload = ConfigPayload::new();
+        for spec in sut.config_files() {
+            let format = format_by_name(&spec.format).expect("known format");
+            let tree = format
+                .parse(&spec.default_contents)
+                .expect("baseline parses");
+            let text = format.serialize(&tree).expect("baseline serializes");
+            baseline.insert(spec.name.clone(), tree);
+            baseline_payload.insert(spec.name.clone(), FileText::baseline(text));
+            formats.insert(spec.name, format);
+        }
+        Replayer {
+            baseline,
+            formats,
+            baseline_payload,
+        }
+    }
+
+    /// The payload one fault's injection hands to `start`, built as
+    /// the campaign engine builds it, with every mutated file carrying
+    /// a parse by the format `parse_with` picks for it. `None` when
+    /// the fault is inexpressible or inapplicable.
+    fn payload_for(
+        &self,
+        fault: &GeneratedFault,
+        parse_with: impl Fn(&dyn ConfigFormat) -> Box<dyn ConfigFormat>,
+    ) -> Option<ConfigPayload> {
+        let GeneratedFault::Scenario(scenario) = fault else {
+            return None;
+        };
+        let mutated = scenario.apply(&self.baseline).ok()?;
+        let mut payload = ConfigPayload::new();
+        for (file, tree) in mutated.iter_arcs() {
+            if self
+                .baseline
+                .get_arc(file)
+                .is_some_and(|b| Arc::ptr_eq(b, tree))
+            {
+                payload.insert(file.to_string(), self.baseline_payload.get(file)?.clone());
+            } else {
+                let format = self.formats.get(file)?;
+                let text = FileText::mutated(format.serialize(tree).ok()?);
+                let parser = parse_with(format.as_ref());
+                payload.insert(file.to_string(), text.with_parse(parser.as_ref()));
+            }
+        }
+        Some(payload)
+    }
+}
+
+/// Starts `sut` on `payload` and runs every functional test.
+fn start_and_test(
+    sut: &mut dyn SystemUnderTest,
+    payload: &ConfigPayload,
+) -> (StartOutcome, Vec<TestOutcome>) {
+    let deadline = Deadline::unlimited();
+    let start = sut.start(payload, &deadline);
+    let tests = if start.is_running() {
+        sut.test_names()
+            .iter()
+            .map(|test| sut.run_test(test, &deadline))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    sut.stop();
+    (start, tests)
+}
+
+/// Replays `load` fault by fault: a fresh simulator (so the mutated
+/// file misses its parse cache and the carried parse is used) started
+/// on a payload carrying `parse_with`'s parse must behave exactly like
+/// an uncached simulator started from the text alone.
+fn assert_carried_parse_start_equals_uncached(
+    factory: &SutFactory,
+    load: Load,
+    parse_with: impl Fn(&dyn ConfigFormat) -> Box<dyn ConfigFormat>,
+) {
+    let mut cold = factory.create();
+    cold.set_parse_caching(false);
+    let replayer = Replayer::new(cold.as_ref());
+    let faults = load(&replayer.baseline);
+    let mut replayed = 0usize;
+    for fault in &faults {
+        let Some(payload) = replayer.payload_for(fault, &parse_with) else {
+            continue;
+        };
+        let mut handed = factory.create();
+        let shared = start_and_test(handed.as_mut(), &payload);
+        let reference = start_and_test(cold.as_mut(), &payload);
+        assert_eq!(shared, reference, "fault {}", fault.id());
+        replayed += 1;
+    }
+    assert!(
+        replayed > 30,
+        "{}: a real load, {replayed} starts",
+        cold.name()
+    );
+    let stats = cold.parse_cache_stats().expect("simulators have caches");
+    assert_eq!(stats.hits + stats.entries as u64, 0);
+}
+
+/// The same format the engine would parse with.
+fn same_format(format: &dyn ConfigFormat) -> Box<dyn ConfigFormat> {
+    format_by_name(format.name()).expect("registered")
+}
+
+/// A registered format with a different name.
+fn other_format(format: &dyn ConfigFormat) -> Box<dyn ConfigFormat> {
+    builtin_formats()
+        .into_iter()
+        .find(|f| f.name() != format.name())
+        .expect("several formats")
+}
+
+/// Executor runs at 1/2/4 threads under default knobs — fault memo,
+/// linter memo and parse cache on, the parse handed over — against a
+/// serial run with the fault memo and the parse cache off.
+fn assert_executor_equals_uncached_serial(factory: &SutFactory, load: Load) {
+    let mut reference_sut = factory.create();
+    reference_sut.set_parse_caching(false);
+    let mut reference = Campaign::new(reference_sut.as_mut()).expect("campaign");
+    reference.set_fault_memoization(false);
+    let faults = load(reference.baseline());
+    assert!(faults.len() > 30, "a real load");
+    let expected = profile_to_json(&reference.run_faults(faults.clone()).expect("run"));
+    drop(reference);
+    for threads in [1, 2, 4] {
+        let campaign = ExecutorCampaign::new(factory.clone()).expect("campaign");
+        let profile = CampaignExecutor::new(threads)
+            .run_faults(&campaign, faults.clone())
+            .expect("run");
+        assert_eq!(
+            expected,
+            profile_to_json(&profile),
+            "{} at {threads} threads",
+            campaign.system()
+        );
+    }
+}
+
+fn check_system(factory: SutFactory, load: Load) {
+    assert_carried_parse_start_equals_uncached(&factory, load, same_format);
+    assert_carried_parse_start_equals_uncached(&factory, load, other_format);
+    assert_executor_equals_uncached_serial(&factory, load);
+}
+
+#[test]
+fn shared_parse_is_invisible_mysql() {
+    check_system(sut_factory(MySqlSim::new), table1);
+}
+
+#[test]
+fn shared_parse_is_invisible_postgres() {
+    check_system(sut_factory(PostgresSim::new), table1);
+}
+
+#[test]
+fn shared_parse_is_invisible_apache() {
+    check_system(sut_factory(ApacheSim::new), table1);
+}
+
+#[test]
+fn shared_parse_is_invisible_bind() {
+    check_system(sut_factory(BindSim::new), table1);
+}
+
+#[test]
+fn shared_parse_is_invisible_djbdns() {
+    check_system(sut_factory(DjbdnsSim::new), djbdns_faultload);
+}
+
+#[test]
+fn shared_parse_is_invisible_appserver() {
+    check_system(sut_factory(AppServerSim::new), appserver);
+}

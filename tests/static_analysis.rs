@@ -20,14 +20,13 @@
 use std::path::Path;
 
 use conferr::{
-    profile_to_json, sut_factory, Campaign, CollectingSink, InjectionResult, LintedSource,
-    ParallelCampaign, ResilienceProfile, StaticVerdict,
+    profile_to_json, sut_factory, Campaign, CollectingSink, FaultLinter, InjectionResult,
+    LintedSource, ParallelCampaign, ResilienceProfile, StaticVerdict,
 };
-use conferr_bench::{all_typos, table1_faultload, DEFAULT_SEED};
+use conferr_bench::{appserver_faultload, djbdns_faultload, table1_faultload, DEFAULT_SEED};
 use conferr_keyboard::Keyboard;
 use conferr_model::{
-    ConfigSet, EagerSource, ErrorClass, ErrorGenerator, FaultScenario, GeneratedFault,
-    StructuralKind, TreeEdit, TypoKind,
+    EagerSource, ErrorClass, ErrorGenerator, FaultScenario, GeneratedFault, TreeEdit, TypoKind,
 };
 use conferr_plugins::{VariationClass, VariationPlugin};
 use conferr_sut::{
@@ -119,75 +118,6 @@ fn table1_verdicts_are_sound_bind_and_appserver() {
     table1_precision_gate(&mut AppServerSim::new(), false);
 }
 
-/// A Table 1-shaped load for djbdns. The §5.2 protocol targets
-/// `//directive` nodes, which a tinydns-data file does not have; the
-/// equivalent line-level load deletes each record, typos each
-/// record's payload, and corrupts record-type prefixes.
-fn djbdns_faultload(set: &ConfigSet) -> Vec<GeneratedFault> {
-    let query: NodeQuery = "//line".parse().expect("static query");
-    let keyboard = Keyboard::qwerty_us();
-    let mut out = Vec::new();
-    for (file, tree) in set.iter() {
-        for (path, node) in query.select_nodes(tree) {
-            out.push(GeneratedFault::Scenario(FaultScenario {
-                id: format!("djb-delete:{file}:{path}"),
-                description: format!("omit record {}", node.describe()),
-                class: ErrorClass::Structural(StructuralKind::DirectiveOmission),
-                edits: vec![TreeEdit::Delete {
-                    file: file.to_string(),
-                    path: path.clone(),
-                }],
-            }));
-            out.push(GeneratedFault::Scenario(FaultScenario {
-                id: format!("djb-type:{file}:{path}"),
-                description: "corrupt record-type prefix".into(),
-                class: ErrorClass::Typo(TypoKind::Substitution),
-                edits: vec![TreeEdit::SetAttr {
-                    file: file.to_string(),
-                    path: path.clone(),
-                    key: "type".to_string(),
-                    value: "!".to_string(),
-                }],
-            }));
-            let Some(payload) = node.text().filter(|t| !t.is_empty()) else {
-                continue;
-            };
-            // Deterministically corrupt the one field the loader
-            // checks (the IPv4 address), yielding an out-of-range
-            // octet — the WillFailValidate half of the gate.
-            if payload.contains("192.0.2.") {
-                out.push(GeneratedFault::Scenario(FaultScenario {
-                    id: format!("djb-ip:{file}:{path}"),
-                    description: "out-of-range IPv4 octet".into(),
-                    class: ErrorClass::Typo(TypoKind::Insertion),
-                    edits: vec![TreeEdit::SetText {
-                        file: file.to_string(),
-                        path: path.clone(),
-                        text: Some(payload.replacen("192.0.2.", "192.0.2222.", 1)),
-                    }],
-                }));
-            }
-            for (v, (mutated, label)) in all_typos(&keyboard, payload)
-                .into_iter()
-                .take(6)
-                .enumerate()
-            {
-                out.push(GeneratedFault::Scenario(FaultScenario {
-                    id: format!("djb-payload:{file}:{path}#{v}"),
-                    description: format!("payload typo: {label}"),
-                    class: ErrorClass::Typo(TypoKind::Substitution),
-                    edits: vec![TreeEdit::SetText {
-                        file: file.to_string(),
-                        path: path.clone(),
-                        text: Some(mutated),
-                    }],
-                }));
-            }
-        }
-    }
-    out
-}
-
 #[test]
 fn djbdns_line_edit_verdicts_are_sound() {
     let mut sut = DjbdnsSim::new();
@@ -200,6 +130,83 @@ fn djbdns_line_edit_verdicts_are_sound() {
         failures > 0,
         "corrupted prefixes and payloads must yield WillFail predictions"
     );
+}
+
+#[test]
+fn appserver_element_edit_verdicts_are_sound() {
+    // `table1_faultload` yields no faults for `server.xml` (it has no
+    // `//directive` nodes), so this element-level load is what gates
+    // the appserver verdicts.
+    let mut sut = AppServerSim::new();
+    let mut campaign = Campaign::new(&mut sut).expect("campaign");
+    let faults = appserver_faultload(campaign.baseline(), &Keyboard::qwerty_us());
+    assert!(faults.len() > 30, "server.xml must yield a real load");
+    let profile = campaign.run_faults(faults).expect("run");
+    assert_verdicts_sound(&profile);
+    let summary = profile.summary();
+    assert!(
+        summary.detected_at_startup > 0 && summary.undetected + summary.detected_by_tests > 0,
+        "the load must reach both startup failures and running servers: {summary:?}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Lint-path equivalence: the engine's shared parse decides exactly as
+// the self-contained linter.
+// ---------------------------------------------------------------------------
+
+/// Runs `faults` through a fresh campaign, whose engine lints each
+/// novel single-edit fault from its own prepared parse, then checks
+/// that the lint it recorded for every fault equals
+/// `FaultLinter::lint` on a fresh linter: verdict, diagnostic and
+/// touch map.
+fn assert_shared_parse_lints_match_standalone(
+    sut: &mut dyn SystemUnderTest,
+    load: impl Fn(&conferr_model::ConfigSet) -> Vec<GeneratedFault>,
+) {
+    let schema = sut.schema().expect("schema-publishing system");
+    let mut campaign = Campaign::new(sut).expect("campaign");
+    let faults = load(campaign.baseline());
+    let standalone = FaultLinter::new(schema, campaign.baseline().clone()).expect("linter");
+    let recorded = campaign.linter().expect("engine linter");
+    let total = faults.len();
+    campaign.run_faults(faults.clone()).expect("run");
+    let mut single_edit = 0usize;
+    for fault in &faults {
+        let GeneratedFault::Scenario(scenario) = fault else {
+            continue;
+        };
+        single_edit += usize::from(scenario.edits.len() == 1);
+        // A memo hit: the lint the engine recorded during the run.
+        let engine = recorded.lint(&scenario.edits);
+        let reference = standalone.lint(&scenario.edits);
+        assert_eq!(engine.verdict, reference.verdict, "{}", scenario.id);
+        assert_eq!(engine.diagnostic, reference.diagnostic, "{}", scenario.id);
+        assert_eq!(*engine.touch, *reference.touch, "{}", scenario.id);
+    }
+    assert!(
+        total > 30 && single_edit == total,
+        "a real single-edit load: {single_edit} of {total}"
+    );
+}
+
+#[test]
+fn shared_parse_lints_match_standalone_table1() {
+    let table1 = |set: &conferr_model::ConfigSet| {
+        table1_faultload(set, &Keyboard::qwerty_us(), DEFAULT_SEED)
+    };
+    assert_shared_parse_lints_match_standalone(&mut MySqlSim::new(), table1);
+    assert_shared_parse_lints_match_standalone(&mut PostgresSim::new(), table1);
+    assert_shared_parse_lints_match_standalone(&mut ApacheSim::new(), table1);
+    assert_shared_parse_lints_match_standalone(&mut BindSim::new(), table1);
+}
+
+#[test]
+fn shared_parse_lints_match_standalone_djbdns_and_appserver() {
+    assert_shared_parse_lints_match_standalone(&mut DjbdnsSim::new(), djbdns_faultload);
+    assert_shared_parse_lints_match_standalone(&mut AppServerSim::new(), |set| {
+        appserver_faultload(set, &Keyboard::qwerty_us())
+    });
 }
 
 // ---------------------------------------------------------------------------
