@@ -3,11 +3,14 @@
 //!
 //! [`FaultLinter::lint`] runs the *round-trip* pipeline on a fault's
 //! edit list: apply to the baseline, serialize the edited file with
-//! the real format, re-parse with the real parser, then evaluate the
-//! extracted dialect model against the baseline fingerprint. Because
-//! every stage reuses the exact code the simulator runs at startup,
-//! `WillFailParse`/`WillFailValidate` verdicts are sound by
-//! construction — the dynamic start cannot disagree.
+//! the real format, re-parse with the real parser (through
+//! [`TextParse::of_edit`], which re-parses only the edited node's
+//! lines when the format can prove that equal to a full parse), then
+//! evaluate the extracted dialect model against the baseline
+//! fingerprint. Because every stage reuses the exact code the
+//! simulator runs at startup, `WillFailParse`/`WillFailValidate`
+//! verdicts are sound by construction — the dynamic start cannot
+//! disagree.
 //!
 //! [`FaultLinter::lint_with`] is the same lint for a caller that has
 //! already applied and serialized the fault: the campaign engine
@@ -204,7 +207,7 @@ impl FaultLinter {
             class: ErrorClass::Typo(TypoKind::Substitution),
             edits: edits.to_vec(),
         };
-        let Ok(edited) = probe.apply(&self.baseline) else {
+        let Ok(mut edited) = probe.apply(&self.baseline) else {
             // Inapplicable edits never reach injection; stay silent
             // about them but bound the files they name.
             let touch: TouchMap = edits
@@ -226,19 +229,25 @@ impl FaultLinter {
         let Some((fs, format)) = schema_file else {
             return unknown();
         };
-        let Some(tree) = edited.get(file) else {
+        let Some(tree) = edited.remove(file) else {
             return unknown();
         };
 
         // Round trip: the simulator starts from serialized bytes, so
         // the verdict must be computed on what those bytes re-parse
         // to, not on the in-memory edited tree.
-        let Ok(text) = format.serialize(tree) else {
+        let Ok(text) = format.serialize(&tree) else {
             // Inexpressible under the format; the campaign reports it
             // without starting the SUT.
             return unknown();
         };
-        self.decide(edits, fs, format.parse(&text).as_ref())
+        let parsed = match edits[0].site() {
+            Some(site) => {
+                TextParse::of_edit(format.as_ref(), &text, Arc::unwrap_or_clone(tree), &site)
+            }
+            None => TextParse::new(format.as_ref(), &text),
+        };
+        self.decide(edits, fs, parsed.result())
     }
 
     /// The decision both entries share: the verdict for a single-edit

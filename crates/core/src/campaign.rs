@@ -497,13 +497,17 @@ impl InjectionEngine {
     /// memoized by exact edit list when the fault memo is enabled —
     /// a hit returns the byte-identical `Prepared` the cold path
     /// would recompute.
-    fn prepare(&self, scenario: &FaultScenario) -> Arc<Prepared> {
+    ///
+    /// A cold preparation also returns the edited set it serialized,
+    /// for this fault's linter parse only; the memo never keeps it.
+    fn prepare(&self, scenario: &FaultScenario) -> (Arc<Prepared>, Option<ConfigSet>) {
         if self.memoize_faults() {
             if let Some(hit) = self.memo.lock().get(&scenario.edits) {
-                return Arc::clone(hit);
+                return (Arc::clone(hit), None);
             }
         }
-        let prepared = Arc::new(self.prepare_cold(scenario));
+        let (prepared, edited) = self.prepare_cold(scenario);
+        let prepared = Arc::new(prepared);
         if self.memoize_faults() {
             let mut memo = self.memo.lock();
             if memo.len() >= FAULT_MEMO_CAPACITY {
@@ -511,26 +515,27 @@ impl InjectionEngine {
             }
             memo.insert(scenario.edits.clone(), Arc::clone(&prepared));
         }
-        prepared
+        (prepared, edited)
     }
 
-    /// The un-memoized preparation path.
-    fn prepare_cold(&self, scenario: &FaultScenario) -> Prepared {
+    /// The un-memoized preparation path, plus the edited set when the
+    /// scenario applied.
+    fn prepare_cold(&self, scenario: &FaultScenario) -> (Prepared, Option<ConfigSet>) {
         let mutated = match scenario.apply(&self.baseline) {
             Ok(m) => m,
             Err(e) => {
-                return Prepared::Skipped {
-                    reason: e.to_string(),
-                }
+                let reason = e.to_string();
+                return (Prepared::Skipped { reason }, None);
             }
         };
         let diff: Arc<[String]> = self.diff_summary(&mutated).into();
         // Serialization can legitimately fail: the mutated tree may
         // not be expressible in the file format (paper §3.2/§5.4).
-        match self.payload_for(&mutated) {
+        let prepared = match self.payload_for(&mutated) {
             Ok(payload) => Prepared::Ready { payload, diff },
             Err(reason) => Prepared::Inexpressible { diff, reason },
-        }
+        };
+        (prepared, Some(mutated))
     }
 
     /// Starts the SUT on one prepared payload and classifies its
@@ -672,8 +677,8 @@ impl InjectionEngine {
     ) -> InjectionOutcome {
         match fault {
             GeneratedFault::Scenario(scenario) => {
-                let prepared = self.prepare(&scenario);
-                let (lint, parsed_payload) = self.lint(&scenario.edits, &prepared);
+                let (prepared, edited) = self.prepare(&scenario);
+                let (lint, parsed_payload) = self.lint(&scenario.edits, &prepared, edited);
                 let verdict = self.annotate(lint.as_ref());
                 // `diff` clones below are `Arc` refcount bumps: every
                 // outcome of the same preparation shares one line
@@ -741,13 +746,17 @@ impl InjectionEngine {
     /// format: the linter decides from that parse, and the returned
     /// per-fault payload carries it to the SUT's startup (see
     /// [`FileText::with_parse`]), so the text is not parsed again
-    /// there. The copy lives only for this fault: the memoized
-    /// `Prepared` never holds a parse. A memo hit parses nothing and
-    /// returns no payload.
+    /// there. When the cold preparation handed over its `edited` set
+    /// and the edit changed one node, only that node's lines are
+    /// re-parsed ([`FileText::with_edit_parse`]). The copy lives only
+    /// for this fault: the memoized `Prepared` never holds a parse or
+    /// an edited tree. A memo hit parses nothing and returns no
+    /// payload.
     fn lint(
         &self,
         edits: &[TreeEdit],
         prepared: &Prepared,
+        edited: Option<ConfigSet>,
     ) -> (Option<Lint>, Option<ConfigPayload>) {
         let Some(analysis) = self.analysis.as_ref() else {
             return (None, None);
@@ -762,7 +771,18 @@ impl InjectionEngine {
             if self.formats.get(file)?.name() != format.name() {
                 return None;
             }
-            let text = payload.get(file)?.with_parse(format);
+            let text = payload.get(file)?;
+            let tree = edited.and_then(|mut set| set.remove(file));
+            let site = match edits {
+                [edit] => edit.site(),
+                _ => None,
+            };
+            let text = match (tree, site) {
+                (Some(tree), Some(site)) => {
+                    text.with_edit_parse(format, Arc::unwrap_or_clone(tree), &site)
+                }
+                _ => text.with_parse(format),
+            };
             let parse = Arc::clone(text.carried_parse()?);
             let mut per_fault = payload.clone();
             per_fault.insert(file, text);
@@ -1201,13 +1221,13 @@ mod tests {
         }
     }
 
-    /// Forwards to MySQL, counting the payload files that arrive
-    /// carrying a parse.
+    /// Forwards to MySQL, keeping the parses payload files arrive
+    /// carrying.
     #[derive(Debug, Default)]
     struct ParseSpy {
         inner: MySqlSim,
         starts: usize,
-        carried: usize,
+        carried: Vec<Arc<conferr_formats::TextParse>>,
     }
 
     impl SystemUnderTest for ParseSpy {
@@ -1219,10 +1239,11 @@ mod tests {
         }
         fn start(&mut self, configs: &ConfigPayload, deadline: &Deadline) -> StartOutcome {
             self.starts += 1;
-            self.carried += configs
-                .iter()
-                .filter(|(_, file)| file.carried_parse().is_some())
-                .count();
+            self.carried.extend(
+                configs
+                    .iter()
+                    .filter_map(|(_, file)| file.carried_parse().cloned()),
+            );
             self.inner.start(configs, deadline)
         }
         fn test_names(&self) -> Vec<String> {
@@ -1264,11 +1285,25 @@ mod tests {
         // The second pass hits the linter memo: nothing is parsed for
         // the linter, so nothing is handed over.
         campaign.run_faults(faults).unwrap();
+        let baseline = campaign.baseline().get_arc("my.cnf").unwrap().clone();
         drop(campaign);
         // One scout start on the baseline, then two per fault; only
         // the first pass's starts received the linter's parse.
         assert_eq!(sut.starts, 1 + 2 * total);
-        assert_eq!(sut.carried, total);
+        assert_eq!(sut.carried.len(), total);
+        // A value typo is re-parsed edit-locally: the handed-over tree
+        // still shares the untouched sections with the baseline.
+        for parse in &sut.carried {
+            let tree = parse.result().expect("value typos parse");
+            let shared = tree
+                .root()
+                .children()
+                .iter()
+                .zip(baseline.root().children())
+                .filter(|(a, b)| conferr_tree::Node::ptr_eq(a, b))
+                .count();
+            assert!(shared > 0, "a full parse shares nothing");
+        }
     }
 
     #[test]

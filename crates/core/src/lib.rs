@@ -90,7 +90,7 @@ pub use export::{
     CSV_HEADER,
 };
 pub use outcome::{InjectionOutcome, InjectionResult};
-pub use parallel::{default_threads, parallel_indexed_map, ParallelCampaign};
+pub use parallel::{default_threads, ParallelCampaign};
 pub use plan::{PlanTrace, PlanTraceSink, StepRecord};
 pub use profile::{ProfileSummary, ResilienceProfile};
 pub use sink::{CollectingSink, CountingSink, CsvSink, JsonlSink, OutcomeSink};

@@ -18,7 +18,6 @@
 //! [`CampaignBatch`](crate::CampaignBatch) on a shared executor directly.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use conferr_model::{ConfigSet, ErrorGenerator, GeneratedFault};
 use conferr_sut::ConfigPayload;
@@ -31,40 +30,6 @@ use crate::{CampaignError, ResilienceProfile};
 /// offers (1 when the parallelism cannot be determined).
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-}
-
-/// Runs `f` over `items` on up to `threads` scoped worker threads
-/// (atomic-cursor work stealing) and returns the results **in item
-/// order** — scheduling never affects the output. This is the shared
-/// scheduling primitive for stateless per-item work that does not
-/// involve a SUT; campaign workloads go through the persistent
-/// [`CampaignExecutor`](crate::CampaignExecutor), whose workers carry
-/// reusable SUT instances.
-pub fn parallel_indexed_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let workers = threads.clamp(1, items.len().max(1));
-    if workers == 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                *slots[i].lock() = Some(f(i, item));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("worker filled every slot"))
-        .collect()
 }
 
 /// A multi-threaded injection campaign against one *kind* of

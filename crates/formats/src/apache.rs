@@ -17,9 +17,9 @@
 //! name (`sep` holds the whitespace between them); directives without
 //! arguments have no text.
 
-use conferr_tree::{ConfTree, Node};
+use conferr_tree::{ConfTree, EditSite, Node};
 
-use crate::{ConfigFormat, ParseError, SerializeError};
+use crate::{local, ConfigFormat, ParseError, SerializeError};
 
 /// Parser/serializer for Apache httpd-style files.
 #[derive(Debug, Clone, Copy, Default)]
@@ -140,6 +140,12 @@ impl ConfigFormat for ApacheFormat {
             out.pop();
         }
         Ok(out)
+    }
+
+    fn reparse_edited(&self, edited: ConfTree, site: &EditSite) -> Option<ConfTree> {
+        // A fragment that parses on its own closes every section it
+        // opens, so it fits at any site.
+        local::reparse_edited(self, edited, site, serialize_node, |_, _, _| true)
     }
 }
 

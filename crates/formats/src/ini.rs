@@ -17,9 +17,9 @@
 //! *bare* directive (`bare=yes`, no text). Directives appearing before
 //! any section header live directly under `config`.
 
-use conferr_tree::{ConfTree, Node};
+use conferr_tree::{ConfTree, EditSite, Node};
 
-use crate::{ConfigFormat, ParseError, SerializeError};
+use crate::{local, ConfigFormat, ParseError, SerializeError};
 
 /// Parser/serializer for MySQL-style INI files.
 #[derive(Debug, Clone, Copy, Default)]
@@ -93,15 +93,46 @@ impl ConfigFormat for IniFormat {
         let root = tree.root();
         let mut out = String::new();
         for child in root.children() {
-            match child.kind() {
-                "section" => serialize_section(child, &mut out)?,
-                other => serialize_line(child, other, &mut out)?,
-            }
+            serialize_node(child, &mut out)?;
         }
         if root.attr("final_newline") == Some("no") && out.ends_with('\n') {
             out.pop();
         }
         Ok(out)
+    }
+
+    fn reparse_edited(&self, edited: ConfTree, site: &EditSite) -> Option<ConfTree> {
+        local::reparse_edited(self, edited, site, serialize_node, fits)
+    }
+}
+
+/// Whether `fragment`, parsed on its own, parses the same at `site`
+/// under `parent`. A section header takes over every line after it up
+/// to the next header, so inside a section the fragment must hold no
+/// header; at the root, the fragment's leading lines need the root to
+/// be where lines land (no section before the site), and a fragment
+/// that opens a section, or leaves a preceding one open, must be
+/// followed by a header or the end of the file.
+fn fits(parent: &Node, site: &EditSite, fragment: &[Node]) -> bool {
+    let is_section = |node: &Node| node.kind() == "section";
+    let path = site.path();
+    match path.depth() {
+        2 => !fragment.iter().any(is_section),
+        1 => {
+            let index = path.last_index().expect("depth 1");
+            let siblings = parent.children();
+            let after = match site {
+                EditSite::Replaced(_) => &siblings[index + 1..],
+                EditSite::Removed(_) => &siblings[index..],
+            };
+            let lines_land_in_root = !siblings[..index].iter().any(is_section);
+            let leading_lines = fragment.first().is_some_and(|node| !is_section(node));
+            let opens_section = fragment.iter().any(is_section);
+            let header_follows = after.first().is_none_or(is_section);
+            (!leading_lines || lines_land_in_root)
+                && (header_follows || (!opens_section && lines_land_in_root))
+        }
+        _ => false,
     }
 }
 
@@ -149,6 +180,13 @@ fn parse_directive(line: &str, trimmed: &str) -> Node {
                 .with_attr("bare", "yes")
                 .with_attr("trailing", trailing)
         }
+    }
+}
+
+fn serialize_node(node: &Node, out: &mut String) -> Result<(), SerializeError> {
+    match node.kind() {
+        "section" => serialize_section(node, out),
+        other => serialize_line(node, other, out),
     }
 }
 

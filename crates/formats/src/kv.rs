@@ -14,9 +14,9 @@
 //! and inline `#` comments). Values may be single-quoted; `#` inside
 //! quotes does not start a comment.
 
-use conferr_tree::{ConfTree, Node};
+use conferr_tree::{ConfTree, EditSite, Node};
 
-use crate::{ConfigFormat, ParseError, SerializeError};
+use crate::{local, ConfigFormat, ParseError, SerializeError};
 
 /// Parser/serializer for Postgres-style key-value files.
 #[derive(Debug, Clone, Copy, Default)]
@@ -53,32 +53,44 @@ impl ConfigFormat for KvFormat {
         let root = tree.root();
         let mut out = String::new();
         for child in root.children() {
-            match child.kind() {
-                "directive" => {
-                    out.push_str(child.attr("indent").unwrap_or(""));
-                    out.push_str(child.attr("name").unwrap_or(""));
-                    out.push_str(child.attr("sep").unwrap_or(""));
-                    out.push_str(child.text().unwrap_or(""));
-                    out.push_str(child.attr("trailing").unwrap_or(""));
-                }
-                "comment" | "blank" => out.push_str(child.text().unwrap_or("")),
-                other => {
-                    return Err(SerializeError::new(
-                        FORMAT,
-                        format!(
-                            "node kind {other:?} has no representation in a flat key-value file \
-                             (this format has no sections)"
-                        ),
-                    ))
-                }
-            }
-            out.push('\n');
+            serialize_node(child, &mut out)?;
         }
         if root.attr("final_newline") == Some("no") && out.ends_with('\n') {
             out.pop();
         }
         Ok(out)
     }
+
+    fn reparse_edited(&self, edited: ConfTree, site: &EditSite) -> Option<ConfTree> {
+        // Every line is a root child and parses on its own.
+        local::reparse_edited(self, edited, site, serialize_node, |_, site, _| {
+            site.path().depth() == 1
+        })
+    }
+}
+
+fn serialize_node(node: &Node, out: &mut String) -> Result<(), SerializeError> {
+    match node.kind() {
+        "directive" => {
+            out.push_str(node.attr("indent").unwrap_or(""));
+            out.push_str(node.attr("name").unwrap_or(""));
+            out.push_str(node.attr("sep").unwrap_or(""));
+            out.push_str(node.text().unwrap_or(""));
+            out.push_str(node.attr("trailing").unwrap_or(""));
+        }
+        "comment" | "blank" => out.push_str(node.text().unwrap_or("")),
+        other => {
+            return Err(SerializeError::new(
+                FORMAT,
+                format!(
+                    "node kind {other:?} has no representation in a flat key-value file \
+                     (this format has no sections)"
+                ),
+            ))
+        }
+    }
+    out.push('\n');
+    Ok(())
 }
 
 fn parse_line(line: &str, lineno: usize) -> Result<Node, ParseError> {
@@ -108,16 +120,13 @@ fn parse_line(line: &str, lineno: usize) -> Result<Node, ParseError> {
     let after_name = &rest[name_end..];
 
     // Separator: whitespace, optional '=', whitespace.
-    let mut sep_end = 0;
-    let bytes: Vec<char> = after_name.chars().collect();
+    let mut sep_end = after_name.len();
     let mut saw_eq = false;
-    for &c in &bytes {
+    for (i, c) in after_name.char_indices() {
         if c == '=' && !saw_eq {
             saw_eq = true;
-            sep_end += c.len_utf8();
-        } else if c.is_whitespace() {
-            sep_end += c.len_utf8();
-        } else {
+        } else if !c.is_whitespace() {
+            sep_end = i;
             break;
         }
     }

@@ -53,6 +53,7 @@ mod apache;
 mod error;
 mod ini;
 mod kv;
+mod local;
 mod tinydns;
 mod xml;
 mod zone;
@@ -65,7 +66,7 @@ pub use tinydns::{fields as tinydns_fields, TinyDnsFormat, KNOWN_PREFIXES};
 pub use xml::{parse_attrs as xml_parse_attrs, XmlFormat};
 pub use zone::{ZoneFormat, KNOWN_RTYPES};
 
-use conferr_tree::ConfTree;
+use conferr_tree::{ConfTree, EditSite};
 
 /// A system-specific configuration parser/serializer pair.
 ///
@@ -94,6 +95,60 @@ pub trait ConfigFormat: std::fmt::Debug + Send + Sync {
     /// expressiveness of the two representations" (§3.2), which
     /// ConfErr reports as an inexpressible fault rather than a bug.
     fn serialize(&self, tree: &ConfTree) -> Result<String, SerializeError>;
+
+    /// `parse(serialize(&edited))`, computed from the edited node's own
+    /// lines instead of the whole text — or `None`, which means "parse
+    /// the full text".
+    ///
+    /// # Contract
+    ///
+    /// `edited` is a tree this format parsed in which exactly one node
+    /// was changed, at `site`: replaced in place (its text, attributes
+    /// or subtree) or removed. Every other node is still the parser's
+    /// own output. `Some(tree)` must then equal
+    /// `self.parse(&self.serialize(&edited)?)` exactly. `None` is always
+    /// a correct answer; it is the default, and what `xml`, `zone` and
+    /// `tinydns` return.
+    ///
+    /// [`ApacheFormat`], [`IniFormat`] and [`KvFormat`] compute it
+    /// locally. They serialize the replaced node on its own, parse that
+    /// fragment on its own, and put the fragment's nodes where the
+    /// node was; a removed node leaves nothing to parse. The rest of
+    /// `edited` is kept as is, so it stays shared with the tree the
+    /// edit was applied to. This is sound because all three parsers
+    /// read one line at a time, and a line's node depends only on the
+    /// line and on where the parser is putting nodes at that point
+    /// (the open section). Each implementation returns `None` unless
+    /// it can prove the surrounding text does not change either:
+    ///
+    /// * The root must be the bare `config` node a parse of
+    ///   newline-terminated text produces (only the `format`
+    ///   attribute), with at least one child. A file without a final
+    ///   newline, or an empty file, is parsed in full.
+    /// * The fragment must parse on its own, to a root with no
+    ///   attribute besides `format`. A fragment that does not parse is
+    ///   left to the full parse, which reports the error with the
+    ///   file's own line numbers.
+    /// * `kv` is flat: the site must be a root child, and any fragment
+    ///   fits there.
+    /// * `apache` sections nest, but a fragment that parses on its own
+    ///   opens and closes its own sections, so it leaves the parser's
+    ///   stack of open sections as it found it. Any site fits.
+    /// * An `ini` section header takes over every line after it, up to
+    ///   the next header. Inside a section the fragment must hold no
+    ///   header. At the root, lines before the fragment's first header
+    ///   land in whatever section is open, so they are only allowed
+    ///   when no section precedes the site; and a fragment that opens
+    ///   a section (or leaves a preceding one open) must be followed
+    ///   by a header or the end of the file.
+    ///
+    /// Callers do not use this directly: [`TextParse::of_edit`] takes
+    /// the local result when there is one and parses the text
+    /// otherwise.
+    fn reparse_edited(&self, edited: ConfTree, site: &EditSite) -> Option<ConfTree> {
+        let _ = (edited, site);
+        None
+    }
 }
 
 /// One format's parse of one text: the tree, or the parser's error,
@@ -124,6 +179,52 @@ impl TextParse {
         TextParse {
             format: format.name().to_string(),
             result: format.parse(text),
+        }
+    }
+
+    /// `format`'s parse of `text`, the text `format` serialized from
+    /// `edited`, where `edited` is a tree `format` parsed with one
+    /// node changed at `site`.
+    ///
+    /// Takes the edit-local re-parse ([`ConfigFormat::reparse_edited`])
+    /// when the format offers one and parses `text` otherwise, so the
+    /// result is always that of [`TextParse::new`]. Builds with debug
+    /// assertions check this on every local result.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use conferr_formats::{ConfigFormat, KvFormat, TextParse};
+    /// use conferr_tree::{EditSite, TreePath};
+    ///
+    /// let kv = KvFormat::new();
+    /// let mut edited = kv.parse("port = 5432\nmax_connections = 10\n").unwrap();
+    /// let path = TreePath::from(vec![1]);
+    /// edited.set_text_at(&path, Some("1\nfsync = off".into())).unwrap();
+    /// let text = kv.serialize(&edited).unwrap();
+    /// let parse = TextParse::of_edit(&kv, &text, edited, &EditSite::Replaced(path));
+    /// assert_eq!(parse.result(), kv.parse(&text).as_ref());
+    /// assert_eq!(parse.result().unwrap().root().children().len(), 3);
+    /// ```
+    pub fn of_edit(
+        format: &dyn ConfigFormat,
+        text: &str,
+        edited: ConfTree,
+        site: &EditSite,
+    ) -> Self {
+        let Some(tree) = format.reparse_edited(edited, site) else {
+            return Self::new(format, text);
+        };
+        debug_assert_eq!(
+            format.parse(text).as_ref(),
+            Ok(&tree),
+            "{} edit-local re-parse at {} differs from a full parse of {text:?}",
+            format.name(),
+            site.path(),
+        );
+        TextParse {
+            format: format.name().to_string(),
+            result: Ok(tree),
         }
     }
 

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use conferr_tree::{ConfTree, Node, TreePath};
+use conferr_tree::{ConfTree, EditSite, Node, TreePath};
 use serde::{Deserialize, Serialize};
 
 use crate::{ConfigSet, ModelError};
@@ -244,6 +244,24 @@ impl TreeEdit {
             | TreeEdit::Insert { file, .. }
             | TreeEdit::SwapChildren { file, .. }
             | TreeEdit::ReplaceTree { file, .. } => file,
+        }
+    }
+
+    /// The one node this edit replaces or removes in its file, when it
+    /// changes a single node: `Delete` removes the node at its path,
+    /// `SetText` and `SetAttr` replace it. Every other edit adds,
+    /// moves or rewrites more than one node and has no site.
+    pub fn site(&self) -> Option<EditSite> {
+        match self {
+            TreeEdit::Delete { path, .. } => Some(EditSite::Removed(path.clone())),
+            TreeEdit::SetText { path, .. } | TreeEdit::SetAttr { path, .. } => {
+                Some(EditSite::Replaced(path.clone()))
+            }
+            TreeEdit::DuplicateAfter { .. }
+            | TreeEdit::Move { .. }
+            | TreeEdit::Insert { .. }
+            | TreeEdit::SwapChildren { .. }
+            | TreeEdit::ReplaceTree { .. } => None,
         }
     }
 

@@ -34,8 +34,9 @@
 //! A novel fault misses the cache, but its text need not be parsed
 //! twice: the campaign engine already parsed it once for the static
 //! linter. A [`FileText`] can carry that parse
-//! ([`FileText::with_parse`] is the only way to attach one, and it
-//! parses the `FileText`'s own bytes), tagged with the format's name.
+//! ([`FileText::with_parse`] and [`FileText::with_edit_parse`] are the
+//! only ways to attach one, and both produce the format's parse of the
+//! `FileText`'s own bytes), tagged with the format's name.
 //! [`ParseCache::get_or_build`] starts a simulator's
 //! parse-and-validate path from a carried parse of the simulator's own
 //! format instead of parsing the text again. The engine attaches the
@@ -49,7 +50,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use conferr_formats::{ConfigFormat, ParseError, TextParse};
-use conferr_tree::ConfTree;
+use conferr_tree::{ConfTree, EditSite};
 
 /// Stable identity of one exact configuration text: the 64-bit
 /// FNV-1a hash of its bytes.
@@ -176,6 +177,25 @@ impl FileText {
     pub fn with_parse(&self, format: &dyn ConfigFormat) -> FileText {
         FileText {
             parse: Some(Arc::new(TextParse::new(format, &self.text))),
+            ..self.clone()
+        }
+    }
+
+    /// [`with_parse`](Self::with_parse) for text serialized with
+    /// `format` from `edited`, a tree `format` parsed with one node
+    /// changed at `site`: the parse is built by
+    /// [`TextParse::of_edit`], which re-parses only the changed node's
+    /// lines when the format can, and this file's text otherwise.
+    pub fn with_edit_parse(
+        &self,
+        format: &dyn ConfigFormat,
+        edited: ConfTree,
+        site: &EditSite,
+    ) -> FileText {
+        FileText {
+            parse: Some(Arc::new(TextParse::of_edit(
+                format, &self.text, edited, site,
+            ))),
             ..self.clone()
         }
     }

@@ -19,6 +19,38 @@ pub struct EditOutcome {
     pub path: Option<TreePath>,
 }
 
+/// Where one edit changed a tree: a single node replaced in place, or
+/// removed.
+///
+/// A format can re-parse an edited tree from the site's own lines
+/// instead of the whole document (see `conferr_formats::ConfigFormat`);
+/// the site is all it needs to find them.
+///
+/// ```
+/// use conferr_tree::{EditSite, TreePath};
+///
+/// let site = EditSite::Removed(TreePath::from(vec![0, 2]));
+/// assert_eq!(site.path().to_string(), "/0/2");
+/// ```
+#[derive(Debug)]
+pub enum EditSite {
+    /// The node at this path was changed in place: its text, its
+    /// attributes, or anything in its subtree.
+    Replaced(TreePath),
+    /// The node that was at this path was removed; its later siblings
+    /// moved down by one.
+    Removed(TreePath),
+}
+
+impl EditSite {
+    /// The path of the replaced or removed node.
+    pub fn path(&self) -> &TreePath {
+        match self {
+            EditSite::Replaced(path) | EditSite::Removed(path) => path,
+        }
+    }
+}
+
 impl ConfTree {
     /// Deletes the node at `path` and returns it.
     ///

@@ -58,7 +58,7 @@ mod path;
 mod query;
 
 pub use diff_impl::{diff, DiffOp};
-pub use edit::EditOutcome;
+pub use edit::{EditOutcome, EditSite};
 pub use error::TreeError;
 pub use node::{Node, NodeIter};
 pub use path::TreePath;

@@ -10,6 +10,13 @@
 //! * Executor profiles at 1/2/4 threads, where the engine hands the
 //!   parse over, are byte-identical to the serial reference with the
 //!   fault memo and the parse cache both off.
+//! * The same holds for a load built to defeat the edit-local re-parse
+//!   (`ConfigFormat::reparse_edited`): directives turned into section
+//!   tags, values turned into broken or real ini section headers, and
+//!   text with line breaks.
+//! * On the Table 1 loads of seeds 0..50, at least 99 % of the
+//!   single-node faults of mysql, postgres and apache are re-parsed
+//!   locally, so the fast path cannot silently stop being taken.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -20,11 +27,12 @@ use conferr::{
 use conferr_bench::{appserver_faultload, djbdns_faultload, table1_faultload, DEFAULT_SEED};
 use conferr_formats::{builtin_formats, format_by_name, ConfigFormat};
 use conferr_keyboard::Keyboard;
-use conferr_model::{ConfigSet, GeneratedFault};
+use conferr_model::{ConfigSet, ErrorClass, FaultScenario, GeneratedFault, TreeEdit, TypoKind};
 use conferr_sut::{
     ApacheSim, AppServerSim, BindSim, ConfigPayload, Deadline, DjbdnsSim, FileText, MySqlSim,
     PostgresSim, StartOutcome, SystemUnderTest, TestOutcome,
 };
+use conferr_tree::NodeQuery;
 
 type Load = fn(&ConfigSet) -> Vec<GeneratedFault>;
 
@@ -34,6 +42,48 @@ fn table1(set: &ConfigSet) -> Vec<GeneratedFault> {
 
 fn appserver(set: &ConfigSet) -> Vec<GeneratedFault> {
     appserver_faultload(set, &Keyboard::qwerty_us())
+}
+
+/// Single-node edits of every directive that the edit-local re-parse
+/// must hand to a full parse (a section tag, a broken or a real ini
+/// header where it would take over the following lines), plus text
+/// with a line break that it splices as several nodes.
+fn fallbacks(set: &ConfigSet) -> Vec<GeneratedFault> {
+    let query: NodeQuery = "//directive".parse().expect("static query");
+    let mut out = Vec::new();
+    for (file, tree) in set.iter() {
+        for (path, _) in query.select_nodes(tree) {
+            let name = |value: &str| TreeEdit::SetAttr {
+                file: file.to_string(),
+                path: path.clone(),
+                key: "name".to_string(),
+                value: value.to_string(),
+            };
+            let text = |value: &str| TreeEdit::SetText {
+                file: file.to_string(),
+                path: path.clone(),
+                text: Some(value.to_string()),
+            };
+            let edits = [
+                name("</VirtualHost>"),
+                name("<Foo>"),
+                name("[mysqld"),
+                text("[mysqld"),
+                text("1\n[mysqld"),
+                text("1\n[mysqld]"),
+                text("80\nListen 8080"),
+            ];
+            for (i, edit) in edits.into_iter().enumerate() {
+                out.push(GeneratedFault::Scenario(FaultScenario {
+                    id: format!("fallback:{file}:{path}#{i}"),
+                    description: format!("{edit:?}"),
+                    class: ErrorClass::Typo(TypoKind::Substitution),
+                    edits: vec![edit],
+                }));
+            }
+        }
+    }
+    out
 }
 
 /// The engine-shaped pieces, built by hand: parsed baseline, per-file
@@ -91,7 +141,16 @@ impl Replayer {
                 let format = self.formats.get(file)?;
                 let text = FileText::mutated(format.serialize(tree).ok()?);
                 let parser = parse_with(format.as_ref());
-                payload.insert(file.to_string(), text.with_parse(parser.as_ref()));
+                // A single-node edit takes the engine's edit-local path.
+                let site = match scenario.edits.as_slice() {
+                    [edit] => edit.site(),
+                    _ => None,
+                };
+                let text = match site {
+                    Some(site) => text.with_edit_parse(parser.as_ref(), (**tree).clone(), &site),
+                    None => text.with_parse(parser.as_ref()),
+                };
+                payload.insert(file.to_string(), text);
             }
         }
         Some(payload)
@@ -223,4 +282,60 @@ fn shared_parse_is_invisible_djbdns() {
 #[test]
 fn shared_parse_is_invisible_appserver() {
     check_system(sut_factory(AppServerSim::new), appserver);
+}
+
+#[test]
+fn shared_parse_is_invisible_under_fallbacks() {
+    for factory in [
+        sut_factory(MySqlSim::new),
+        sut_factory(PostgresSim::new),
+        sut_factory(ApacheSim::new),
+    ] {
+        check_system(factory, fallbacks);
+    }
+}
+
+#[test]
+fn edit_local_parse_covers_table1_loads() {
+    for factory in [
+        sut_factory(MySqlSim::new),
+        sut_factory(PostgresSim::new),
+        sut_factory(ApacheSim::new),
+    ] {
+        let sut = factory.create();
+        let replayer = Replayer::new(sut.as_ref());
+        let (mut single, mut local) = (0usize, 0usize);
+        for seed in 0..50 {
+            for fault in table1_faultload(&replayer.baseline, &Keyboard::qwerty_us(), seed) {
+                let GeneratedFault::Scenario(scenario) = fault else {
+                    continue;
+                };
+                let [edit] = scenario.edits.as_slice() else {
+                    continue;
+                };
+                let Some(site) = edit.site() else { continue };
+                let Ok(mut edited) = scenario.apply(&replayer.baseline) else {
+                    continue;
+                };
+                let format = &replayer.formats[edit.file()];
+                let tree = edited.remove(edit.file()).expect("edited file");
+                if format.serialize(&tree).is_err() {
+                    continue;
+                }
+                single += 1;
+                if format
+                    .reparse_edited(Arc::unwrap_or_clone(tree), &site)
+                    .is_some()
+                {
+                    local += 1;
+                }
+            }
+        }
+        assert!(single > 1000, "{}: {single} single-node faults", sut.name());
+        assert!(
+            local * 100 >= single * 99,
+            "{}: {local} of {single} single-node faults re-parsed locally",
+            sut.name()
+        );
+    }
 }
