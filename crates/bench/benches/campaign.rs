@@ -5,7 +5,7 @@
 //! machine they only show the sharding overhead (and the executor's
 //! serial fast path).
 
-use conferr::{sut_factory, Campaign, ParallelCampaign};
+use conferr::{sut_factory, Campaign, CampaignExecutor, ExecutorCampaign};
 use conferr_bench::{default_threads, table1_faultload, DEFAULT_SEED};
 use conferr_keyboard::Keyboard;
 use conferr_model::GeneratedFault;
@@ -36,11 +36,12 @@ fn bench_serial_vs_parallel(c: &mut Criterion) {
 
     let threads = default_threads();
     group.bench_function("parallel_postgres_table1", |b| {
-        let campaign = ParallelCampaign::new(sut_factory(PostgresSim::new))
-            .expect("campaign")
-            .with_threads(threads);
+        let campaign = ExecutorCampaign::new(sut_factory(PostgresSim::new)).expect("campaign");
+        let executor = CampaignExecutor::new(threads);
         b.iter(|| {
-            let profile = campaign.run_faults(black_box(faults.clone())).expect("run");
+            let profile = executor
+                .run_faults(&campaign, black_box(faults.clone()))
+                .expect("run");
             black_box(profile.summary())
         });
     });

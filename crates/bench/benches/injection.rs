@@ -87,7 +87,7 @@ fn bench_apply_path_vs_deep_copy(c: &mut Criterion) {
 fn bench_full_campaign(c: &mut Criterion) {
     // The paper's headline: "testing each SUT took less than one
     // hour". The whole Table 1 column runs in milliseconds here.
-    let mut group = c.benchmark_group("full_table1_column");
+    let mut group = c.benchmark_group("full_table1");
     group.sample_size(10);
     let keyboard = Keyboard::qwerty_us();
     group.bench_function("postgres", |b| {

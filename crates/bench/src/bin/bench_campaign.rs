@@ -15,9 +15,9 @@
 //!   pruning on: functional tests whose schema-declared read-set is
 //!   provably disjoint from a fault's statically derived touch map
 //!   are skipped (v5);
-//! * **parallel** — `ParallelCampaign`, one worker and one SUT
-//!   instance (with its own cache) per thread, outcomes merged in
-//!   fault order;
+//! * **parallel** — a fresh `CampaignExecutor` built inside the timed
+//!   region, one worker and one SUT instance (with its own cache) per
+//!   thread, outcomes merged in fault order;
 //! * **executor** — one persistent `CampaignExecutor` shared by all
 //!   three systems: worker threads and per-worker SUT caches are
 //!   constructed once and reused across every `run_faults` call;
@@ -38,9 +38,8 @@
 //! executor core: the warm 3-system batch best-of-5 on the
 //! persistent pool, gated no slower than the cached serial total
 //! (under the v7 global-lock scheduler the pooled executor *lost* to
-//! serial; the fixed v7 anchors ride along in the JSON), a
-//! completion-batch `K` sweep (`K` = 1 reproduces per-fault
-//! publication), and the static-triage fast path against its
+//! serial; the fixed v7 anchors ride along in the JSON), and the
+//! static-triage fast path against its
 //! `set_static_triage(false)` reference — byte-identity plus the
 //! skip-rate gate (at least 50% of the dynamic starts must be
 //! replaced). A dedicated **isolation** section times the same
@@ -79,7 +78,7 @@ use std::time::Instant;
 
 use conferr::{
     sut_factory, Campaign, CampaignBatch, CampaignExecutor, CollectingSink, CountingSink,
-    ExecutorCampaign, ParallelCampaign, ResilienceProfile, SutFactory, DEFAULT_COMPLETION_BATCH,
+    ExecutorCampaign, ResilienceProfile, SutFactory,
 };
 use conferr_bench::{
     deep_copy_tree, httpd_apply_fixture, million_fault_source, table1_faultload, threads_from_env,
@@ -113,11 +112,6 @@ const V7_GLOBAL_LOCK_EXECUTOR_TOTAL_MS: f64 = 140.9;
 const V7_GLOBAL_LOCK_BATCH_COLD_MS: f64 = 137.1;
 const V7_GLOBAL_LOCK_BATCH_WARM_MS: f64 = 21.6;
 const V7_REFERENCE_THREADS: usize = 2;
-
-/// Completion-batch sizes swept by the scheduler section. `K` = 1
-/// reproduces the per-fault publication the global-lock scheduler
-/// paid on every outcome.
-const K_SWEEP: [usize; 5] = [1, 4, 8, 16, 32];
 
 /// Faults in the bounded-memory streaming smoke run.
 const SMOKE_TARGET: usize = 1_000_000;
@@ -194,14 +188,17 @@ fn run_system(
     let (serial, serial_ms) = timed_serial(&work.factory, work.faults.clone(), true, false);
     let (pruned, serial_pruned_ms) = timed_serial(&work.factory, work.faults.clone(), true, true);
 
-    let parallel_campaign = ParallelCampaign::new(work.factory.clone())
-        .expect("campaign")
-        .with_threads(threads);
+    // A fresh pool per system, spawned inside the timed region (and
+    // shut down after it): the cold reference the batch gate below
+    // compares against.
+    let parallel_campaign = ExecutorCampaign::new(work.factory.clone()).expect("campaign");
     let start = Instant::now();
-    let parallel = parallel_campaign
-        .run_faults(work.faults.clone())
+    let parallel_executor = CampaignExecutor::new(threads);
+    let parallel = parallel_executor
+        .run_faults(&parallel_campaign, work.faults.clone())
         .expect("parallel run");
     let parallel_ms = start.elapsed().as_secs_f64() * 1e3;
+    drop(parallel_executor);
 
     // The persistent pool: threads and per-worker SUT caches already
     // exist (warmed by earlier systems/submissions).
@@ -458,14 +455,12 @@ fn process_bench(threads: usize) -> ProcessBench {
 
 /// The sharded-scheduler section (v8): the warm 3-system batch
 /// re-timed best-of-5 on the persistent pool and gated at no slower
-/// than the cached serial total, a completion-batch `K` sweep (`K` =
-/// 1 reproduces per-fault publication), and the static-triage fast
-/// path priced against its `set_static_triage(false)` reference with
+/// than the cached serial total, and the static-triage fast path
+/// priced against its `set_static_triage(false)` reference with
 /// byte-identity and the >= 50% skip-rate gate asserted.
 struct SchedulerBench {
     warm_batch_ms: f64,
     warm_vs_serial_ratio: f64,
-    k_sweep: Vec<(usize, f64)>,
     triage_off_ms: f64,
     triage_on_ms: f64,
     triage_speedup: f64,
@@ -484,7 +479,7 @@ fn scheduler_bench(
     // Warm 3-system batch, best of 5 rounds (the least-interfered
     // round scores, like the isolation gate): every cache and thread
     // already exists, so this is the steady-state scheduling cost the
-    // sharded producer shards + batched completions pay for.
+    // sharded producer shards pay for.
     let mut warm_batch_ms = f64::INFINITY;
     for _ in 0..5 {
         let batch = make_batch();
@@ -504,25 +499,6 @@ fn scheduler_bench(
         "warm 3-system batch {warm_batch_ms:.1} ms is slower than the cached serial \
          total {total_serial:.1} ms; the sharded scheduler must close the v7 gap"
     );
-
-    // Completion-batch sweep: the same warm batch at each K, best of
-    // 3 rounds per point, byte-identity asserted at every K.
-    let mut k_sweep = Vec::new();
-    for k in K_SWEEP {
-        batch_executor.set_completion_batch(k);
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let batch = make_batch();
-            let start = Instant::now();
-            let profiles = batch_executor.run_batch(batch).expect("swept batch");
-            best = best.min(start.elapsed().as_secs_f64() * 1e3);
-            for (reference, profile) in references.iter().zip(&profiles) {
-                assert_profiles_identical(reference, profile, "completion-batch sweep");
-            }
-        }
-        k_sweep.push((k, best));
-    }
-    batch_executor.set_completion_batch(DEFAULT_COMPLETION_BATCH);
 
     // Static triage: the 3-system serial load with the fast path off
     // (the reference knob) and on, byte-identity asserted per system,
@@ -565,7 +541,6 @@ fn scheduler_bench(
     SchedulerBench {
         warm_batch_ms,
         warm_vs_serial_ratio: warm_batch_ms / total_serial,
-        k_sweep,
         triage_off_ms,
         triage_on_ms,
         triage_speedup: triage_off_ms / triage_on_ms,
@@ -668,7 +643,7 @@ fn main() {
     // parse cache) per worker, so each distinct mutated text parses
     // once per worker instead of once overall — work a 1-worker
     // serial run never does, and exactly the structure
-    // `ParallelCampaign` shares. (The old "<= 3% vs serial" note
+    // parallel row shares. (The old "<= 3% vs serial" note
     // predates per-worker caches and was measured at 1 thread, where
     // the two references coincide.) Against the matching reference,
     // batch scheduling — cross-system queue, producer shards, reorder
@@ -780,14 +755,10 @@ fn main() {
         );
     }
 
-    let mut sweep = String::new();
-    for (k, ms) in &scheduler.k_sweep {
-        let _ = write!(sweep, " K={k}: {ms:.1} ms");
-    }
     println!(
-        "scheduler (sharded producers, batched completions): warm batch best {:.1} ms \
+        "scheduler (sharded producers): warm batch best {:.1} ms \
          ({:.2}x vs serial total, gate <= 1.0x; v7 global lock: cold {:.0} ms, warm {:.0} ms \
-         at {} threads);{sweep}",
+         at {} threads)",
         scheduler.warm_batch_ms,
         scheduler.warm_vs_serial_ratio,
         V7_GLOBAL_LOCK_BATCH_COLD_MS,
@@ -933,16 +904,6 @@ fn main() {
          global producer mutex and one progress lock serialized every claim, completion and \
          drain\"}},"
     );
-    json.push_str("    \"completion_batch_sweep\": [");
-    for (i, (k, ms)) in scheduler.k_sweep.iter().enumerate() {
-        let comma = if i + 1 < scheduler.k_sweep.len() {
-            ", "
-        } else {
-            ""
-        };
-        let _ = write!(json, "{{\"k\": {k}, \"warm_batch_ms\": {ms:.1}}}{comma}");
-    }
-    json.push_str("],\n");
     let _ = writeln!(
         json,
         "    \"triage\": {{\"off_ms\": {:.1}, \"on_ms\": {:.1}, \"speedup\": {:.2}, \
@@ -960,11 +921,9 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"note\": \"per-entry producer shards + atomic entry cursor + drain-every-K \
-         completion batching: warm_batch_ms is the best of 5 warm 3-system batches on the \
-         persistent pool, gated no slower than the cached serial total; the K sweep re-times \
-         the same batch at each completion-batch size (K = 1 reproduces the per-fault \
-         publication the global-lock scheduler paid)\"\n  }},"
+        "    \"note\": \"per-entry producer shards + atomic entry cursor, each outcome \
+         published as it completes: warm_batch_ms is the best of 5 warm 3-system batches on \
+         the persistent pool, gated no slower than the cached serial total\"\n  }},"
     );
     let _ = writeln!(
         json,

@@ -8,7 +8,7 @@
 use conferr::report::stacked_bar;
 use conferr::CampaignExecutor;
 use conferr::DetectionBand;
-use conferr_bench::{figure3_parallel, threads_from_env, DEFAULT_SEED};
+use conferr_bench::{figure3, threads_from_env, DEFAULT_SEED};
 
 fn main() {
     let seed = std::env::args()
@@ -16,7 +16,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(DEFAULT_SEED);
     let executor = CampaignExecutor::new(threads_from_env());
-    let report = figure3_parallel(&executor, seed).expect("figure 3 comparison failed");
+    let report = figure3(&executor, seed).expect("figure 3 comparison failed");
 
     println!("Figure 3. Resilience to typos in MySQL and Postgres, across all directives");
     println!("(seed {seed}; 20 value-typo experiments per directive; booleans excluded)");

@@ -6,7 +6,7 @@
 //! cargo run -p conferr-bench --bin paper_all [seed]
 //! ```
 //!
-//! Every sibling binary runs its campaigns on the parallel engine,
+//! Every sibling binary runs its campaigns on a `CampaignExecutor`,
 //! one worker per core; set `CONFERR_THREADS=n` (inherited by the
 //! spawned binaries) to pin the worker count.
 

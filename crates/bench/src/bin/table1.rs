@@ -7,7 +7,7 @@
 
 use conferr::report::summary_table;
 use conferr::CampaignExecutor;
-use conferr_bench::{table1_parallel, threads_from_env, DEFAULT_SEED};
+use conferr_bench::{table1, threads_from_env, DEFAULT_SEED};
 
 fn main() {
     let seed = std::env::args()
@@ -16,7 +16,7 @@ fn main() {
         .unwrap_or(DEFAULT_SEED);
     let threads = threads_from_env();
     let executor = CampaignExecutor::new(threads);
-    let columns = table1_parallel(&executor, seed).expect("table 1 campaign failed");
+    let columns = table1(&executor, seed).expect("table 1 campaign failed");
 
     println!("Table 1. Resilience to typos (seed {seed}, {threads} worker thread(s))");
     println!("(deletion of every directive + sampled typos in directive names and values)");

@@ -8,7 +8,7 @@
 
 use conferr::report::TextTable;
 use conferr::CampaignExecutor;
-use conferr_bench::{table2_parallel, threads_from_env, DEFAULT_SEED};
+use conferr_bench::{table2, threads_from_env, DEFAULT_SEED};
 
 fn main() {
     let seed = std::env::args()
@@ -16,7 +16,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(DEFAULT_SEED);
     let executor = CampaignExecutor::new(threads_from_env());
-    let t2 = table2_parallel(&executor, seed).expect("table 2 campaign failed");
+    let t2 = table2(&executor, seed).expect("table 2 campaign failed");
 
     println!("Table 2. Resilience to structural errors (seed {seed}; 10 variant files per class)");
     println!();

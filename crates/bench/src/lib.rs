@@ -30,9 +30,9 @@
 use std::sync::LazyLock;
 
 use conferr::{
-    parallel_value_typo_resilience, sut_factory, value_typo_resilience, Campaign, CampaignBatch,
-    CampaignError, CampaignExecutor, ComparisonReport, ExecutorCampaign, InjectionResult,
-    ProfileSummary, ResilienceProfile, SutFactory,
+    sut_factory, value_typo_resilience, Campaign, CampaignBatch, CampaignError, CampaignExecutor,
+    ComparisonReport, ExecutorCampaign, InjectionResult, ProfileSummary, ResilienceProfile,
+    SutFactory,
 };
 use conferr_keyboard::Keyboard;
 use conferr_model::{
@@ -42,9 +42,7 @@ use conferr_model::{
 use conferr_plugins::{
     typos_of_kind, DnsFaultKind, DnsSemanticPlugin, VariationClass, VariationPlugin,
 };
-use conferr_sut::{
-    ApacheSim, BindSim, ConfigPayload, DjbdnsSim, FileText, MySqlSim, PostgresSim, SystemUnderTest,
-};
+use conferr_sut::{ApacheSim, BindSim, ConfigPayload, DjbdnsSim, FileText, MySqlSim, PostgresSim};
 use conferr_tree::{ConfTree, Node, NodeQuery, TreePath};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -357,63 +355,6 @@ pub fn appserver_faultload(set: &ConfigSet, keyboard: &Keyboard) -> Vec<Generate
     out
 }
 
-/// One Table 1 column: runs the §5.2 protocol against one system.
-///
-/// # Errors
-///
-/// Propagates campaign failures.
-pub fn table1_column(
-    sut: &mut dyn SystemUnderTest,
-    seed: u64,
-) -> Result<ResilienceProfile, CampaignError> {
-    let keyboard = Keyboard::qwerty_us();
-    let mut campaign = Campaign::new(sut)?;
-    let faults = table1_faultload(campaign.baseline(), &keyboard, seed);
-    campaign.run_faults(faults)
-}
-
-/// The full Table 1: MySQL, Postgres and Apache columns.
-///
-/// # Errors
-///
-/// Propagates campaign failures.
-pub fn table1(seed: u64) -> Result<Vec<(String, ProfileSummary)>, CampaignError> {
-    let mut out = Vec::new();
-    let mut mysql = MySqlSim::new();
-    out.push((
-        "MySQL".to_string(),
-        table1_column(&mut mysql, seed)?.summary(),
-    ));
-    let mut postgres = PostgresSim::new();
-    out.push((
-        "Postgres".to_string(),
-        table1_column(&mut postgres, seed)?.summary(),
-    ));
-    let mut apache = ApacheSim::new();
-    out.push((
-        "Apache".to_string(),
-        table1_column(&mut apache, seed)?.summary(),
-    ));
-    Ok(out)
-}
-
-/// One Table 1 column through the persistent executor. Byte-identical
-/// to [`table1_column`] — only wall-clock time differs.
-///
-/// # Errors
-///
-/// Propagates campaign failures.
-pub fn table1_column_parallel(
-    factory: SutFactory,
-    seed: u64,
-    executor: &CampaignExecutor,
-) -> Result<ResilienceProfile, CampaignError> {
-    let keyboard = Keyboard::qwerty_us();
-    let campaign = ExecutorCampaign::new(factory)?;
-    let faults = table1_faultload(campaign.baseline(), &keyboard, seed);
-    executor.run_faults(&campaign, faults)
-}
-
 /// The three `(label, factory)` pairs of the Table 1 / Table 2
 /// systems, in column order.
 fn table12_factories() -> [(&'static str, SutFactory); 3] {
@@ -424,15 +365,16 @@ fn table12_factories() -> [(&'static str, SutFactory); 3] {
     ]
 }
 
-/// The full Table 1 through the executor, scheduled as **one batch
-/// across all three systems**: workers drain a single fault queue, so
-/// a worker done with MySQL's faults immediately steals Postgres or
-/// Apache work. Identical numbers to [`table1`].
+/// The full Table 1 — MySQL, Postgres and Apache columns of the §5.2
+/// protocol — scheduled as **one batch across all three systems**:
+/// workers drain a single fault queue, so a worker done with MySQL's
+/// faults immediately steals Postgres or Apache work. The numbers do
+/// not depend on the executor's thread count.
 ///
 /// # Errors
 ///
 /// Propagates campaign failures.
-pub fn table1_parallel(
+pub fn table1(
     executor: &CampaignExecutor,
     seed: u64,
 ) -> Result<Vec<(String, ProfileSummary)>, CampaignError> {
@@ -489,7 +431,12 @@ impl Table2 {
 }
 
 /// Runs the §5.3 accepted-variations experiment (10 variant files per
-/// class per system) and builds Table 2.
+/// class per system) and builds Table 2, as **one executor batch**:
+/// every applicable (class, system) cell becomes a batch entry — 14
+/// small campaigns in one submission, drained off a single queue —
+/// with the three systems' engines shared across their five cells
+/// each. This is the many-small-campaign workload the persistent pool
+/// exists for.
 ///
 /// Apache's section order is reported n/a, as in the paper: the order
 /// of Apache's containers has defined semantics (the first matching
@@ -498,53 +445,8 @@ impl Table2 {
 ///
 /// # Errors
 ///
-/// Propagates campaign failures.
-pub fn table2(seed: u64) -> Result<Table2, CampaignError> {
-    let systems = vec![
-        "MySQL".to_string(),
-        "Postgres".to_string(),
-        "Apache".to_string(),
-    ];
-    let mut rows = Vec::new();
-    for class in VariationClass::ALL {
-        let mut cells = Vec::new();
-        for system in &systems {
-            if *system == "Apache" && class == VariationClass::SectionOrder {
-                cells.push(None);
-                continue;
-            }
-            let verdict = match system.as_str() {
-                "MySQL" => {
-                    let mut sut = MySqlSim::new();
-                    variation_verdict(&mut sut, class, seed)?
-                }
-                "Postgres" => {
-                    let mut sut = PostgresSim::new();
-                    variation_verdict(&mut sut, class, seed)?
-                }
-                _ => {
-                    let mut sut = ApacheSim::new();
-                    variation_verdict(&mut sut, class, seed)?
-                }
-            };
-            cells.push(verdict);
-        }
-        rows.push((class.label().to_string(), cells));
-    }
-    Ok(Table2 { systems, rows })
-}
-
-/// [`table2`] as **one executor batch**: every applicable
-/// (class, system) cell becomes a batch entry — 14 small campaigns in
-/// one submission, drained off a single queue — with the three
-/// systems' engines shared across their five cells each. This is the
-/// many-small-campaign workload the persistent pool exists for; the
-/// verdicts are identical to the serial run.
-///
-/// # Errors
-///
 /// Propagates the first per-cell campaign failure.
-pub fn table2_parallel(executor: &CampaignExecutor, seed: u64) -> Result<Table2, CampaignError> {
+pub fn table2(executor: &CampaignExecutor, seed: u64) -> Result<Table2, CampaignError> {
     let classes = VariationClass::ALL;
     let factories = table12_factories();
     let campaigns = factories
@@ -553,7 +455,7 @@ pub fn table2_parallel(executor: &CampaignExecutor, seed: u64) -> Result<Table2,
         .collect::<Result<Vec<_>, _>>()?;
 
     // Cells in row-major order; the Apache section-order cell is n/a
-    // by construction (see `table2`), classes with no generatable
+    // by construction (see above), classes with no generatable
     // variants are n/a too — neither is scheduled.
     let mut rows: Vec<(String, Vec<Table2Cell>)> = classes
         .iter()
@@ -589,27 +491,6 @@ pub fn table2_parallel(executor: &CampaignExecutor, seed: u64) -> Result<Table2,
     })
 }
 
-/// Runs the 10 variants of one class against one system. `None` when
-/// the class does not apply (no scenarios could be generated).
-fn variation_verdict(
-    sut: &mut dyn SystemUnderTest,
-    class: VariationClass,
-    seed: u64,
-) -> Result<Table2Cell, CampaignError> {
-    let mut campaign = Campaign::new(sut)?;
-    let plugin = VariationPlugin::new(class, 10, seed);
-    let faults = plugin.generate(campaign.baseline())?;
-    if faults.is_empty() {
-        return Ok(None);
-    }
-    let profile = campaign.run_faults(faults)?;
-    let accepted = profile
-        .outcomes()
-        .iter()
-        .all(|o| matches!(o.result, InjectionResult::Undetected { .. }));
-    Ok(Some(accepted))
-}
-
 /// One Table 3 verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Table3Verdict {
@@ -639,60 +520,15 @@ pub struct Table3 {
     pub rows: Vec<(usize, String, Table3Verdict, Table3Verdict)>,
 }
 
-/// Runs the §5.4 semantic-error experiment and builds Table 3.
+/// Runs the §5.4 semantic-error experiment and builds Table 3. Both
+/// name servers' semantic fault loads go into **one batch**, so
+/// workers steal across BIND and djbdns instead of idling at a
+/// per-system barrier.
 ///
 /// # Errors
 ///
 /// Propagates campaign failures.
-pub fn table3() -> Result<Table3, CampaignError> {
-    let kinds = DnsFaultKind::TABLE3;
-    let mut bind_verdicts = Vec::new();
-    {
-        let mut sut = BindSim::new();
-        let mut campaign = Campaign::new(&mut sut)?;
-        let plugin = DnsSemanticPlugin::bind();
-        let faults = plugin.generate(campaign.baseline())?;
-        let profile = campaign.run_faults(faults)?;
-        for kind in kinds {
-            bind_verdicts.push(rule_verdict(&profile, kind.rule()));
-        }
-    }
-    let mut djb_verdicts = Vec::new();
-    {
-        let mut sut = DjbdnsSim::new();
-        let mut campaign = Campaign::new(&mut sut)?;
-        let plugin = DnsSemanticPlugin::tinydns();
-        let faults = plugin.generate(campaign.baseline())?;
-        let profile = campaign.run_faults(faults)?;
-        for kind in kinds {
-            djb_verdicts.push(rule_verdict(&profile, kind.rule()));
-        }
-    }
-    Ok(Table3 {
-        rows: kinds
-            .iter()
-            .enumerate()
-            .map(|(i, kind)| {
-                (
-                    i + 1,
-                    kind.description().to_string(),
-                    bind_verdicts[i],
-                    djb_verdicts[i],
-                )
-            })
-            .collect(),
-    })
-}
-
-/// [`table3`] through the executor: both name servers' semantic fault
-/// loads go into **one batch**, so workers steal across BIND and
-/// djbdns instead of idling at a per-system barrier. Identical
-/// verdicts to the serial run.
-///
-/// # Errors
-///
-/// Propagates campaign failures.
-pub fn table3_parallel(executor: &CampaignExecutor) -> Result<Table3, CampaignError> {
+pub fn table3(executor: &CampaignExecutor) -> Result<Table3, CampaignError> {
     let kinds = DnsFaultKind::TABLE3;
     let mut batch = CampaignBatch::new();
     for (factory, plugin) in [
@@ -753,43 +589,6 @@ fn rule_verdict(profile: &ResilienceProfile, rule: &str) -> Table3Verdict {
     }
 }
 
-/// Runs the §5.5 comparison (Figure 3): MySQL vs Postgres, 20
-/// value-typo experiments per directive over full-coverage
-/// configurations, booleans excluded.
-///
-/// # Errors
-///
-/// Propagates campaign failures.
-pub fn figure3(seed: u64) -> Result<ComparisonReport, CampaignError> {
-    let keyboard = Keyboard::qwerty_us();
-    let mutator = move |value: &str| all_typos(&keyboard, value);
-
-    let mut systems = Vec::new();
-    {
-        let mut sut = PostgresSim::new();
-        systems.push(value_typo_resilience(
-            &mut sut,
-            &postgres_full_coverage_payload(),
-            &mutator,
-            20,
-            seed,
-            &PostgresSim::boolean_directive_names(),
-        )?);
-    }
-    {
-        let mut sut = MySqlSim::new();
-        systems.push(value_typo_resilience(
-            &mut sut,
-            &mysql_full_coverage_payload(),
-            &mutator,
-            20,
-            seed,
-            &MySqlSim::boolean_directive_names(),
-        )?);
-    }
-    Ok(ComparisonReport { systems })
-}
-
 /// The §5.5 full-coverage Postgres configuration as a startup payload.
 fn postgres_full_coverage_payload() -> ConfigPayload {
     let mut configs = ConfigPayload::new();
@@ -810,27 +609,25 @@ fn mysql_full_coverage_payload() -> ConfigPayload {
     configs
 }
 
-/// [`figure3`] through the batched comparison runner
-/// ([`parallel_value_typo_resilience`]): each system's full-coverage
-/// configuration is parsed into one shared engine, every directive
-/// becomes a batch entry, and both systems run on the same persistent
-/// executor — the second comparison reuses the workers (and their
-/// SUT instances) the first one warmed up. Per-directive seeding
-/// depends only on the directive index, so the numbers are identical
-/// to the serial run.
+/// Runs the §5.5 comparison (Figure 3): MySQL vs Postgres, 20
+/// value-typo experiments per directive over full-coverage
+/// configurations, booleans excluded. Each system's configuration is
+/// parsed into one shared engine, every directive becomes a batch
+/// entry ([`value_typo_resilience`]), and both systems run on the same
+/// persistent executor — the second comparison reuses the workers
+/// (and their SUT instances) the first one warmed up. Per-directive
+/// seeding depends only on the directive index, so the numbers do not
+/// depend on the thread count.
 ///
 /// # Errors
 ///
 /// Propagates campaign failures.
-pub fn figure3_parallel(
-    executor: &CampaignExecutor,
-    seed: u64,
-) -> Result<ComparisonReport, CampaignError> {
+pub fn figure3(executor: &CampaignExecutor, seed: u64) -> Result<ComparisonReport, CampaignError> {
     let keyboard = Keyboard::qwerty_us();
     let mutator = move |value: &str| all_typos(&keyboard, value);
 
     let systems = vec![
-        parallel_value_typo_resilience(
+        value_typo_resilience(
             sut_factory(PostgresSim::new),
             &postgres_full_coverage_payload(),
             &mutator,
@@ -839,7 +636,7 @@ pub fn figure3_parallel(
             &PostgresSim::boolean_directive_names(),
             executor,
         )?,
-        parallel_value_typo_resilience(
+        value_typo_resilience(
             sut_factory(MySqlSim::new),
             &mysql_full_coverage_payload(),
             &mutator,
@@ -855,9 +652,10 @@ pub fn figure3_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+
     #[test]
     fn table1_shape_matches_the_paper() {
-        let columns = table1(DEFAULT_SEED).unwrap();
+        let columns = table1(&CampaignExecutor::new(2), DEFAULT_SEED).unwrap();
         let get = |name: &str| {
             columns
                 .iter()
@@ -905,7 +703,7 @@ mod tests {
 
     #[test]
     fn table2_matches_the_paper() {
-        let t = table2(DEFAULT_SEED).unwrap();
+        let t = table2(&CampaignExecutor::new(2), DEFAULT_SEED).unwrap();
         let row = |label: &str| {
             t.rows
                 .iter()
@@ -939,7 +737,7 @@ mod tests {
 
     #[test]
     fn table3_matches_the_paper() {
-        let t = table3().unwrap();
+        let t = table3(&CampaignExecutor::new(2)).unwrap();
         assert_eq!(t.rows.len(), 4);
         let verdicts: Vec<(Table3Verdict, Table3Verdict)> =
             t.rows.iter().map(|(_, _, b, d)| (*b, *d)).collect();
@@ -967,7 +765,7 @@ mod tests {
 
     #[test]
     fn figure3_postgres_beats_mysql() {
-        let report = figure3(DEFAULT_SEED).unwrap();
+        let report = figure3(&CampaignExecutor::new(2), DEFAULT_SEED).unwrap();
         assert_eq!(report.systems.len(), 2);
         let postgres = &report.systems[0];
         let mysql = &report.systems[1];

@@ -16,9 +16,13 @@
 //! handed to the SUT, whose [`conferr_sut::ParseCache`] then skips
 //! re-parsing it at startup. A novel single-edit fault's one mutated
 //! file is parsed once, by the engine: the linter decides from that
-//! parse and the SUT's startup reuses it. For multi-core throughput,
-//! [`crate::ParallelCampaign`] shards a fault load across worker
-//! threads over the same shared engine.
+//! parse and the SUT's startup reuses it.
+//!
+//! `Campaign` is the borrowed-SUT serial reference: every other driver
+//! runs on a [`crate::CampaignExecutor`] (via
+//! [`crate::ExecutorCampaign`] and [`crate::CampaignBatch`]), which
+//! shares the same engine across worker threads and must yield
+//! byte-identical profiles to this loop.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -157,7 +161,7 @@ pub(crate) fn empty_diff() -> Arc<[String]> {
 /// fault memo.
 ///
 /// The engine is what both the serial [`Campaign`] and the
-/// [`crate::ParallelCampaign`] drive injections through. It holds no
+/// [`crate::CampaignExecutor`] drive injections through. It holds no
 /// SUT and, apart from the internally synchronized memo, is never
 /// mutated after construction, so worker threads can share one engine
 /// by reference (`ConfigFormat` is `Send + Sync`, and the baseline's
@@ -1071,42 +1075,6 @@ impl<'s> Campaign<'s> {
                 return Err(CampaignError::SinkIo(e));
             }
         }
-    }
-
-    /// Runs an explicit fault load across `threads` worker threads,
-    /// each driving its own SUT instance built by `factory`, and
-    /// merges the outcomes back in fault order. The resulting profile
-    /// is byte-identical to a serial [`Campaign::run_faults`] over the
-    /// same faults (asserted by the integration tests): outcomes
-    /// depend only on the shared baseline and the fault, never on
-    /// which worker ran them.
-    ///
-    /// The baseline is rebuilt from the factory's SUT **defaults** —
-    /// the equivalence above holds for faults generated against a
-    /// [`Campaign::new`]-style baseline. For a fault load generated
-    /// against overridden configuration text, use
-    /// [`crate::ParallelCampaign::with_configs`] so the workers share
-    /// the same overridden baseline the faults were derived from.
-    ///
-    /// This is an associated function (not a method) because a serial
-    /// campaign holds exactly one borrowed SUT; parallel execution
-    /// needs one instance per worker. See [`crate::ParallelCampaign`]
-    /// for the reusable, generator-aware form, and
-    /// [`crate::CampaignExecutor`] for a pool that persists across
-    /// calls.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the factory's SUT declares an unparseable or
-    /// unserializable default configuration.
-    pub fn run_faults_parallel(
-        factory: crate::SutFactory,
-        faults: Vec<GeneratedFault>,
-        threads: usize,
-    ) -> Result<ResilienceProfile, CampaignError> {
-        crate::ParallelCampaign::new(factory)?
-            .with_threads(threads)
-            .run_faults(faults)
     }
 }
 

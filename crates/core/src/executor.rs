@@ -49,20 +49,18 @@
 //! *while every other thread injects*, and queue contention drops by
 //! the chunk factor.
 //!
-//! Completed outcomes are published in **batches**: each thread
-//! accumulates up to [`DEFAULT_COMPLETION_BATCH`] outcomes
-//! (configurable via [`CampaignExecutor::set_completion_batch`]) in a
-//! thread-local buffer and parks them in the entry's reorder buffer
-//! under one lock acquisition, flushing early on chunk boundaries,
-//! exhaustion and panics — so isolation and checkpoint semantics are
-//! unchanged. The submitting thread drains each entry's contiguous
-//! completed prefix to its [`OutcomeSink`](crate::OutcomeSink)
-//! **in fault order**. Production is throttled per entry by a window
-//! of `chunk_size × threads` faults outstanding (produced but not yet
-//! sunk), which bounds both the in-flight faults and the buffered
-//! outcomes for each entry: a million-fault campaign streamed into a
-//! counting sink never holds more than the window in memory
-//! ([`StreamStats::peak_buffered`] reports the observed maximum).
+//! Each completed outcome is published the moment it completes: the
+//! thread that ran the fault parks it in the entry's reorder buffer
+//! under the entry's emit lock, so nothing is held thread-locally and
+//! a panic cannot lose a finished outcome. The submitting thread
+//! drains each entry's contiguous completed prefix to its
+//! [`OutcomeSink`](crate::OutcomeSink) **in fault order**. Production
+//! is throttled per entry by a window of `chunk_size × threads`
+//! faults outstanding (produced but not yet sunk), which bounds both
+//! the in-flight faults and the buffered outcomes for each entry: a
+//! million-fault campaign streamed into a counting sink never holds
+//! more than the window in memory ([`StreamStats::peak_buffered`]
+//! reports the observed maximum).
 //!
 //! Scheduling never affects results: every profile is byte-identical
 //! to a serial [`crate::Campaign::run_faults`] over the same faults
@@ -147,12 +145,11 @@ use crate::{CampaignError, InjectionOutcome, ResilienceProfile};
 /// [`CampaignExecutor::set_chunk_size`].
 pub const DEFAULT_CHUNK_SIZE: usize = 16;
 
-/// Completed outcomes a thread accumulates locally before publishing
-/// them to an entry's reorder buffer in one lock acquisition — half a
-/// default chunk, so even a thread working one chunk publishes (and
-/// releases window space) mid-chunk. Tune per executor with
-/// [`CampaignExecutor::set_completion_batch`].
-pub const DEFAULT_COMPLETION_BATCH: usize = 8;
+/// Default worker count for executors: every core the machine offers
+/// (1 when the parallelism cannot be determined).
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+}
 
 /// Locks a [`Mutex`], shedding poisoning (a panicking worker must not
 /// wedge the pool; the executor's state is repaired by the next
@@ -224,9 +221,9 @@ impl fmt::Debug for SutFactory {
 
 /// Shorthand for [`SutFactory::new`]:
 /// `sut_factory(PostgresSim::new)` reads better than the
-/// closure-plus-box it expands to. This is the factory shape every
-/// parallel driver ([`CampaignExecutor`], [`crate::ParallelCampaign`],
-/// [`crate::Campaign::run_faults_parallel`]) expects.
+/// closure-plus-box it expands to. This is the factory shape
+/// [`ExecutorCampaign`] (and so every [`CampaignExecutor`]
+/// submission) expects.
 pub fn sut_factory<S, C>(construct: C) -> SutFactory
 where
     S: SystemUnderTest + Send + 'static,
@@ -763,9 +760,8 @@ struct EntryShard {
     produced: usize,
 }
 
-/// One entry's reorder buffer: completions arrive in any order (and
-/// in batches), the submitting thread drains the contiguous prefix to
-/// the sink.
+/// One entry's reorder buffer: completions arrive in any order, the
+/// submitting thread drains the contiguous prefix to the sink.
 struct EmitUnit {
     /// Next fault index to hand to the sink.
     next: usize,
@@ -807,9 +803,6 @@ struct StreamState {
     /// `chunk × threads`: the *per-entry* cap on faults produced but
     /// not sunk.
     window: usize,
-    /// Outcomes a thread buffers locally before publishing them in
-    /// one emit-lock acquisition (snapshotted at submission).
-    completion_batch: usize,
     /// Isolation/retry policy snapshotted at submission.
     policy: ExecPolicy,
     /// Shared with the executor: faults whose every attempt failed
@@ -874,81 +867,6 @@ impl Drop for PoisonOnPanic<'_> {
     }
 }
 
-/// A thread-local buffer of completed outcomes for one batch entry,
-/// published to the entry's reorder buffer in batches of
-/// `completion_batch` under a single emit-lock acquisition — the
-/// "drain every K" half of the sharded scheduler. Dropping the
-/// buffer flushes the remainder, so chunk boundaries, exhaustion
-/// *and unwinding panics* all publish every completed outcome:
-/// isolation and checkpoint semantics are identical to per-fault
-/// publication.
-struct CompletionBatch<'a> {
-    state: &'a StreamState,
-    unit: usize,
-    pending: Vec<(usize, InjectionOutcome)>,
-    cap: usize,
-}
-
-impl<'a> CompletionBatch<'a> {
-    fn new(state: &'a StreamState, unit: usize) -> Self {
-        let cap = state.completion_batch.max(1);
-        CompletionBatch {
-            state,
-            unit,
-            pending: Vec::with_capacity(cap),
-            cap,
-        }
-    }
-
-    /// Buffers one completed outcome; returns `true` when the buffer
-    /// reached capacity and was flushed (the submitting thread drains
-    /// sinks on that signal).
-    fn push(&mut self, index: usize, outcome: InjectionOutcome) -> bool {
-        self.pending.push((index, outcome));
-        if self.pending.len() >= self.cap {
-            self.flush();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Publishes every buffered outcome under one emit-lock
-    /// acquisition and wakes the submitter once.
-    fn flush(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let n = self.pending.len();
-        {
-            let mut emit = lock(&self.state.entries[self.unit].emit);
-            // Counted under the emit lock, BEFORE the inserts: the
-            // drain's matching `fetch_sub` can only run after it
-            // removed these outcomes (same lock), so the increment
-            // always happens-before its decrement and the counter
-            // can never underflow.
-            let buffered = self.state.buffered.fetch_add(n, Ordering::AcqRel) + n;
-            self.state
-                .peak_buffered
-                .fetch_max(buffered, Ordering::AcqRel);
-            for (index, outcome) in self.pending.drain(..) {
-                emit.pending.insert(index, outcome);
-            }
-        }
-        let mut progress = lock(&self.state.progress);
-        progress.epoch += 1;
-        if progress.submitter_waiting {
-            self.state.progress_ready.notify_all();
-        }
-    }
-}
-
-impl Drop for CompletionBatch<'_> {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 /// Sheds the submitting thread's *live* SUT when a fault panics on
 /// the submitting thread itself (normal completion disarms it with
 /// [`std::mem::forget`]): the panic propagates to the caller, and the
@@ -969,14 +887,12 @@ impl StreamState {
         entries: Vec<(ExecutorCampaign, FaultFeed)>,
         chunk: usize,
         threads: usize,
-        completion_batch: usize,
         policy: ExecPolicy,
         quarantine: Arc<Mutex<Vec<String>>>,
     ) -> Self {
         StreamState {
             chunk,
             window: chunk.saturating_mul(threads),
-            completion_batch,
             policy,
             quarantine,
             retries: AtomicUsize::new(0),
@@ -1167,8 +1083,30 @@ impl StreamState {
         }
     }
 
-    /// Runs one claimed fault and returns its outcome — published by
-    /// the caller through a [`CompletionBatch`].
+    /// Publishes one completed outcome to entry `unit`'s reorder
+    /// buffer under its emit lock, then bumps the progress epoch so a
+    /// sleeping submitter wakes to drain it.
+    fn publish(&self, unit: usize, index: usize, outcome: InjectionOutcome) {
+        {
+            let mut emit = lock(&self.entries[unit].emit);
+            // Counted under the emit lock, BEFORE the insert: the
+            // drain's matching `fetch_sub` can only run after it
+            // removed this outcome (same lock), so the increment
+            // always happens-before its decrement and the counter can
+            // never underflow.
+            let buffered = self.buffered.fetch_add(1, Ordering::AcqRel) + 1;
+            self.peak_buffered.fetch_max(buffered, Ordering::AcqRel);
+            emit.pending.insert(index, outcome);
+        }
+        let mut progress = lock(&self.progress);
+        progress.epoch += 1;
+        if progress.submitter_waiting {
+            self.progress_ready.notify_all();
+        }
+    }
+
+    /// Runs one claimed fault and returns its outcome for the caller
+    /// to [`publish`](Self::publish).
     fn run_fault(
         &self,
         suts: &mut SutCache,
@@ -1189,9 +1127,7 @@ impl StreamState {
             // Strict: armed before SUT construction — the fault is
             // already claimed, so a panic anywhere from the factory
             // closure onward must poison the batch or the submitter
-            // waits forever on it. The unwind also flushes the
-            // caller's completion batch (its `Drop` runs after this
-            // guard's), so completed outcomes are never lost.
+            // waits forever on it.
             let guard = PoisonOnPanic { state: self };
             let sut = suts.get_or_create(&campaign.factory);
             let outcome = campaign.engine.outcome(sut, fault);
@@ -1202,14 +1138,12 @@ impl StreamState {
     }
 
     /// Pool-worker loop: claim chunks until the batch is over,
-    /// publishing completions in batches (flushed at the latest on
-    /// each chunk boundary).
+    /// publishing each outcome as it completes.
     fn work(&self, suts: &mut SutCache) {
         while let Some(chunk) = self.claim(true) {
-            let mut completions = CompletionBatch::new(self, chunk.unit);
             for (i, fault) in chunk.faults.into_iter().enumerate() {
                 let outcome = self.run_fault(suts, chunk.unit, fault);
-                completions.push(chunk.base + i, outcome);
+                self.publish(chunk.unit, chunk.base + i, outcome);
             }
         }
     }
@@ -1283,10 +1217,10 @@ impl StreamState {
     }
 
     /// The submitting thread's loop: steal work like a worker, but
-    /// drain completions to the sinks on every completion-batch flush
-    /// and sleep only while nothing progresses. Returns the total
-    /// outcomes sunk; on poisoning it returns early (the caller
-    /// re-raises).
+    /// drain completions to the sinks after each of its own
+    /// completions and sleep only while nothing progresses. Returns
+    /// the total outcomes sunk; on poisoning it returns early (the
+    /// caller re-raises).
     fn drive(&self, suts: &mut SutCache, sinks: &mut [&mut dyn OutcomeSink]) -> usize {
         let mut scratch = Vec::new();
         let mut sunk = 0;
@@ -1300,18 +1234,11 @@ impl StreamState {
                 return sunk;
             }
             if let Some(chunk) = self.claim(false) {
-                {
-                    let mut completions = CompletionBatch::new(self, chunk.unit);
-                    for (i, fault) in chunk.faults.into_iter().enumerate() {
-                        let outcome = self.run_fault(suts, chunk.unit, fault);
-                        if completions.push(chunk.base + i, outcome) {
-                            sunk += self.drain(sinks, &mut scratch);
-                        }
-                    }
-                    // Dropping `completions` flushes the remainder
-                    // before the post-chunk drain below.
+                for (i, fault) in chunk.faults.into_iter().enumerate() {
+                    let outcome = self.run_fault(suts, chunk.unit, fault);
+                    self.publish(chunk.unit, chunk.base + i, outcome);
+                    sunk += self.drain(sinks, &mut scratch);
                 }
-                sunk += self.drain(sinks, &mut scratch);
             } else {
                 // The failed claim may itself have *discovered*
                 // exhaustion (produced the final `Ok(0)`s): re-check
@@ -1320,9 +1247,8 @@ impl StreamState {
                     return sunk;
                 }
                 // Otherwise faults are in flight on workers: wait for
-                // a completion-batch flush (or poisoning, or an
-                // abort) unless one already happened since we read
-                // the epoch above.
+                // a completion (or poisoning, or an abort) unless one
+                // already happened since we read the epoch above.
                 let mut progress = lock(&self.progress);
                 if progress.epoch == epoch {
                     progress.submitter_waiting = true;
@@ -1406,9 +1332,6 @@ pub struct CampaignExecutor {
     /// Faults handed out per claim; see
     /// [`CampaignExecutor::set_chunk_size`].
     chunk_size: AtomicUsize,
-    /// Completions published per emit-lock acquisition; see
-    /// [`CampaignExecutor::set_completion_batch`].
-    completion_batch: AtomicUsize,
     /// Per-fault isolation (default on); see
     /// [`CampaignExecutor::set_fault_isolation`].
     isolate_faults: AtomicBool,
@@ -1459,7 +1382,6 @@ impl CampaignExecutor {
         CampaignExecutor {
             threads,
             chunk_size: AtomicUsize::new(DEFAULT_CHUNK_SIZE),
-            completion_batch: AtomicUsize::new(DEFAULT_COMPLETION_BATCH),
             isolate_faults: AtomicBool::new(true),
             retry: Mutex::new(RetryPolicy::none()),
             quarantine: Arc::new(Mutex::new(Vec::new())),
@@ -1472,7 +1394,7 @@ impl CampaignExecutor {
     /// Creates an executor sized to the machine's available
     /// parallelism.
     pub fn with_default_threads() -> Self {
-        Self::new(crate::default_threads())
+        Self::new(default_threads())
     }
 
     /// The executor's effective parallelism (workers + submitting
@@ -1497,27 +1419,6 @@ impl CampaignExecutor {
     /// The current per-claim chunk size.
     pub fn chunk_size(&self) -> usize {
         self.chunk_size.load(Ordering::Relaxed).max(1)
-    }
-
-    /// Sets how many completed outcomes a thread buffers locally
-    /// before publishing them to an entry's reorder buffer in one
-    /// lock acquisition (clamped to 1..=4096; default
-    /// [`DEFAULT_COMPLETION_BATCH`]). `1` publishes every outcome
-    /// individually — the pre-sharding behaviour, kept as the
-    /// reference point for the scheduler bench. Batches are always
-    /// flushed on chunk boundaries, exhaustion and panics, so results
-    /// (and isolation/checkpoint semantics) are byte-identical at
-    /// every setting; only emit-lock traffic and submitter wake-ups
-    /// change. The serial fast path is unaffected.
-    pub fn set_completion_batch(&self, batch: usize) -> &Self {
-        self.completion_batch
-            .store(batch.clamp(1, 4096), Ordering::Relaxed);
-        self
-    }
-
-    /// The current completion-batch size.
-    pub fn completion_batch(&self) -> usize {
-        self.completion_batch.load(Ordering::Relaxed).max(1)
     }
 
     /// Enables or disables per-fault isolation (default: **on**).
@@ -1741,7 +1642,6 @@ impl CampaignExecutor {
             entries,
             self.chunk_size(),
             self.threads,
-            self.completion_batch(),
             policy,
             Arc::clone(&self.quarantine),
         ));
@@ -1892,6 +1792,20 @@ mod tests {
             assert_eq!(profile.outcomes(), serial.outcomes(), "threads = {threads}");
             assert_eq!(profile.system(), "postgres-sim");
         }
+    }
+
+    #[test]
+    fn more_threads_than_faults_is_fine() {
+        let campaign = ExecutorCampaign::new(sut_factory(PostgresSim::new)).unwrap();
+        let mut faults = plugin().generate(campaign.baseline()).unwrap();
+        faults.truncate(3);
+        let serial = CampaignExecutor::new(1)
+            .run_faults(&campaign, faults.clone())
+            .unwrap();
+        let wide = CampaignExecutor::new(8);
+        let profile = wide.run_faults(&campaign, faults).unwrap();
+        assert_eq!(profile.len(), 3);
+        assert_eq!(profile.outcomes(), serial.outcomes());
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! keyboard model, injects each one, and classifies how the server
 //! responds — the end-to-end loop of the ConfErr paper's Figure 1.
 //!
-//! This is the minimal *serial* driver; for large fault loads, swap
-//! `Campaign` for `conferr::ParallelCampaign` (see the
-//! `structural_matrix` and `dns_semantic` examples) to shard
+//! This is the minimal *serial* driver; for large fault loads, run a
+//! `conferr::ExecutorCampaign` on a `conferr::CampaignExecutor` (see
+//! the `structural_matrix` and `dns_semantic` examples) to shard
 //! injections across every core with byte-identical results.
 
 use conferr::{Campaign, InjectionResult};

@@ -1,15 +1,16 @@
-//! The parallel campaign driver must be a pure wall-clock
-//! optimisation: over the full §5.2 fault load, its profile —
-//! including every diagnostic string, diff line and warning — must be
-//! byte-identical to the serial driver's, at any thread count.
+//! The executor must be a pure wall-clock optimisation: over the
+//! full §5.2 fault load, its profile — including every diagnostic
+//! string, diff line and warning — must be byte-identical to the
+//! serial `Campaign` reference's, at any thread count; and every
+//! paper artifact must come out the same at any thread count.
 
-use conferr::{profile_to_json, sut_factory, Campaign, ParallelCampaign, ResilienceProfile};
-use conferr_bench::{
-    table1, table1_faultload, table1_parallel, table2, table2_parallel, table3, table3_parallel,
-    DEFAULT_SEED,
+use conferr::{
+    profile_to_json, sut_factory, Campaign, CampaignExecutor, ExecutorCampaign, ResilienceProfile,
+    SutFactory,
 };
+use conferr_bench::{figure3, table1, table1_faultload, table2, table3, DEFAULT_SEED};
 use conferr_keyboard::Keyboard;
-use conferr_model::GeneratedFault;
+use conferr_model::{ErrorGenerator, GeneratedFault};
 use conferr_sut::{MySqlSim, PostgresSim, SystemUnderTest};
 
 /// The full §5.2 (Table 1) fault load for one system: deletion of
@@ -25,15 +26,24 @@ fn serial_profile(sut: &mut dyn SystemUnderTest, faults: Vec<GeneratedFault>) ->
     campaign.run_faults(faults).expect("serial run")
 }
 
+fn executor_profile(
+    factory: SutFactory,
+    faults: Vec<GeneratedFault>,
+    threads: usize,
+) -> ResilienceProfile {
+    let campaign = ExecutorCampaign::new(factory).expect("campaign");
+    CampaignExecutor::new(threads)
+        .run_faults(&campaign, faults)
+        .expect("parallel run")
+}
+
 #[test]
 fn parallel_equals_serial_for_mysql_full_faultload() {
     let mut sut = MySqlSim::new();
     let faults = full_faultload(&mut sut);
     let serial = serial_profile(&mut sut, faults.clone());
     for threads in [1, 2, 5] {
-        let parallel =
-            Campaign::run_faults_parallel(sut_factory(MySqlSim::new), faults.clone(), threads)
-                .expect("parallel run");
+        let parallel = executor_profile(sut_factory(MySqlSim::new), faults.clone(), threads);
         assert_eq!(
             serial.outcomes(),
             parallel.outcomes(),
@@ -55,9 +65,7 @@ fn parallel_equals_serial_for_postgres_full_faultload() {
     let faults = full_faultload(&mut sut);
     let serial = serial_profile(&mut sut, faults.clone());
     for threads in [2, 8] {
-        let parallel =
-            Campaign::run_faults_parallel(sut_factory(PostgresSim::new), faults.clone(), threads)
-                .expect("parallel run");
+        let parallel = executor_profile(sut_factory(PostgresSim::new), faults.clone(), threads);
         assert_eq!(
             profile_to_json(&serial),
             profile_to_json(&parallel),
@@ -68,13 +76,15 @@ fn parallel_equals_serial_for_postgres_full_faultload() {
 
 #[test]
 fn parallel_campaign_generators_match_serial() {
-    // The generator-driven entry point (`run`) goes through the same
-    // sharded path as `run_faults`.
-    let mut parallel = ParallelCampaign::new(sut_factory(PostgresSim::new))
-        .expect("campaign")
-        .with_threads(3);
-    parallel.add_generator(Box::new(conferr_plugins::StructuralPlugin::new()));
-    let parallel = parallel.run().expect("parallel run");
+    // A generator's load, generated against the executor campaign's
+    // baseline, matches the serial generator-driven `Campaign::run`.
+    let campaign = ExecutorCampaign::new(sut_factory(PostgresSim::new)).expect("campaign");
+    let faults = conferr_plugins::StructuralPlugin::new()
+        .generate(campaign.baseline())
+        .expect("generate");
+    let parallel = CampaignExecutor::new(3)
+        .run_faults(&campaign, faults)
+        .expect("parallel run");
 
     let mut sut = PostgresSim::new();
     let mut serial = Campaign::new(&mut sut).expect("campaign");
@@ -86,24 +96,34 @@ fn parallel_campaign_generators_match_serial() {
 
 #[test]
 fn parallel_paper_artifacts_match_serial() {
-    // One persistent executor drives all three artifacts — the
-    // cross-artifact reuse `paper_all` performs, with its SUT caches
-    // warmed by earlier tables when later ones run.
-    let executor = conferr::CampaignExecutor::new(4);
+    // Every paper artifact on the 1-thread serial fast path and on a
+    // 4-thread pool. One persistent pool drives all four artifacts —
+    // the cross-artifact reuse `paper_all` performs, with its SUT
+    // caches warmed by earlier tables when later ones run.
+    let serial = CampaignExecutor::new(1);
+    let parallel = CampaignExecutor::new(4);
 
     // Table 1 summaries (one cross-system batch).
-    let serial = table1(DEFAULT_SEED).expect("table1");
-    let parallel = table1_parallel(&executor, DEFAULT_SEED).expect("table1 parallel");
-    assert_eq!(serial, parallel);
+    assert_eq!(
+        table1(&serial, DEFAULT_SEED).expect("table1 serial"),
+        table1(&parallel, DEFAULT_SEED).expect("table1 parallel")
+    );
 
     // Table 2 verdict matrix (14 cell campaigns in one batch).
-    let serial = table2(DEFAULT_SEED).expect("table2");
-    let parallel = table2_parallel(&executor, DEFAULT_SEED).expect("table2 parallel");
-    assert_eq!(serial.systems, parallel.systems);
-    assert_eq!(serial.rows, parallel.rows);
+    let t2_serial = table2(&serial, DEFAULT_SEED).expect("table2 serial");
+    let t2_parallel = table2(&parallel, DEFAULT_SEED).expect("table2 parallel");
+    assert_eq!(t2_serial.systems, t2_parallel.systems);
+    assert_eq!(t2_serial.rows, t2_parallel.rows);
 
     // Table 3 verdicts (includes inexpressible faults on djbdns).
-    let serial = table3().expect("table3");
-    let parallel = table3_parallel(&executor).expect("table3 parallel");
-    assert_eq!(serial.rows, parallel.rows);
+    assert_eq!(
+        table3(&serial).expect("table3 serial").rows,
+        table3(&parallel).expect("table3 parallel").rows
+    );
+
+    // Figure 3 (one batch entry per directive, both systems).
+    assert_eq!(
+        figure3(&serial, DEFAULT_SEED).expect("figure3 serial"),
+        figure3(&parallel, DEFAULT_SEED).expect("figure3 parallel")
+    );
 }

@@ -1,10 +1,8 @@
-//! The batched comparison runner must produce results bit-identical
-//! to the sequential §5.5 procedure: per-directive seeding depends
-//! only on the directive index, never on scheduling.
+//! The batched §5.5 comparison runner must produce bit-identical
+//! results at any thread count: per-directive seeding depends only on
+//! the directive index, never on scheduling.
 
-use conferr::{
-    parallel_value_typo_resilience, sut_factory, value_typo_resilience, CampaignExecutor,
-};
+use conferr::{sut_factory, value_typo_resilience, CampaignExecutor};
 use conferr_keyboard::Keyboard;
 use conferr_model::TypoKind;
 use conferr_plugins::typos_of_kind;
@@ -36,23 +34,21 @@ fn parallel_equals_sequential() {
     );
     let skip = PostgresSim::boolean_directive_names();
 
-    let sequential = {
-        let mut sut = PostgresSim::new();
-        value_typo_resilience(&mut sut, &configs, &m, 8, 42, &skip).expect("sequential")
-    };
-    for threads in [1, 3, 8] {
-        let executor = CampaignExecutor::new(threads);
-        let parallel = parallel_value_typo_resilience(
+    let run = |threads: usize| {
+        value_typo_resilience(
             sut_factory(PostgresSim::new),
             &configs,
             &m,
             8,
             42,
             &skip,
-            &executor,
+            &CampaignExecutor::new(threads),
         )
-        .expect("parallel");
-        assert_eq!(parallel, sequential, "threads = {threads}");
+        .expect("value typo resilience")
+    };
+    let sequential = run(1);
+    for threads in [3, 8] {
+        assert_eq!(run(threads), sequential, "threads = {threads}");
     }
 }
 
@@ -70,7 +66,7 @@ fn repeated_runs_on_one_executor_stay_identical() {
     );
     let executor = CampaignExecutor::new(3);
     let run = || {
-        parallel_value_typo_resilience(
+        value_typo_resilience(
             sut_factory(PostgresSim::new),
             &configs,
             &m,
@@ -94,7 +90,7 @@ fn parallel_handles_more_threads_than_targets() {
         FileText::mutated("port = 5432\nmax_connections = 20\nshared_buffers = 100\n"),
     );
     let executor = CampaignExecutor::new(64);
-    let result = parallel_value_typo_resilience(
+    let result = value_typo_resilience(
         sut_factory(PostgresSim::new),
         &configs,
         &m,

@@ -149,23 +149,18 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Completion batching is a pure lock-traffic optimisation: at
-    /// ANY batch size K (1 = the per-fault publication it replaced),
-    /// chunk size and thread count, a streamed run delivers its
-    /// outcomes to the sink in fault order, byte-identical to the
+    /// At ANY chunk size and thread count, a streamed run delivers
+    /// its outcomes to the sink in fault order, byte-identical to the
     /// serial campaign — and the reorder buffer never exceeds the
     /// per-entry `chunk × threads` window.
     #[test]
-    fn completion_batching_preserves_sink_order_and_window_bound(
-        k in 1usize..=64,
+    fn streamed_runs_preserve_sink_order_and_window_bound(
         chunk in 1usize..=32,
         threads in 2usize..=4,
     ) {
         let fixture = scheduler_fixture();
         let executor = CampaignExecutor::new(threads);
         executor.set_chunk_size(chunk);
-        executor.set_completion_batch(k);
-        prop_assert_eq!(executor.completion_batch(), k);
         let mut sink = CollectingSink::new();
         let stats = executor
             .run_source(
@@ -177,15 +172,15 @@ proptest! {
         prop_assert_eq!(stats.outcomes, fixture.faults.len());
         prop_assert!(
             stats.peak_buffered <= chunk * threads,
-            "peak {} exceeds window {} (K = {}, chunk = {}, threads = {})",
-            stats.peak_buffered, chunk * threads, k, chunk, threads
+            "peak {} exceeds window {} (chunk = {}, threads = {})",
+            stats.peak_buffered, chunk * threads, chunk, threads
         );
         let streamed = sink.into_profile(fixture.campaign.system());
         prop_assert_eq!(
             &profile_to_json(&streamed),
             &fixture.reference,
-            "diverged at K = {}, chunk = {}, threads = {}",
-            k, chunk, threads
+            "diverged at chunk = {}, threads = {}",
+            chunk, threads
         );
     }
 }

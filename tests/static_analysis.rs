@@ -20,8 +20,8 @@
 use std::path::Path;
 
 use conferr::{
-    profile_to_json, sut_factory, Campaign, CollectingSink, FaultLinter, InjectionResult,
-    LintedSource, ParallelCampaign, ResilienceProfile, StaticVerdict,
+    profile_to_json, sut_factory, Campaign, CampaignExecutor, CollectingSink, ExecutorCampaign,
+    FaultLinter, InjectionResult, LintedSource, ResilienceProfile, StaticVerdict,
 };
 use conferr_bench::{appserver_faultload, djbdns_faultload, table1_faultload, DEFAULT_SEED};
 use conferr_keyboard::Keyboard;
@@ -324,12 +324,12 @@ fn pruned_parallel_profile_is_byte_identical_at_every_thread_count() {
     let faults = table1_faultload(reference.baseline(), &Keyboard::qwerty_us(), DEFAULT_SEED);
     let unpruned = reference.run_faults(faults.clone()).expect("run");
 
+    let campaign = ExecutorCampaign::new(sut_factory(MySqlSim::new)).expect("campaign");
+    campaign.set_impact_pruning(true);
     for threads in [1, 2, 4] {
-        let mut parallel = ParallelCampaign::new(sut_factory(MySqlSim::new))
-            .expect("campaign")
-            .with_threads(threads);
-        parallel.set_impact_pruning(true);
-        let pruned = parallel.run_faults(faults.clone()).expect("run");
+        let pruned = CampaignExecutor::new(threads)
+            .run_faults(&campaign, faults.clone())
+            .expect("run");
         assert_eq!(
             profile_to_json(&unpruned),
             profile_to_json(&pruned),
