@@ -50,15 +50,7 @@ impl ConfigFormat for KvFormat {
     }
 
     fn serialize(&self, tree: &ConfTree) -> Result<String, SerializeError> {
-        let root = tree.root();
-        let mut out = String::new();
-        for child in root.children() {
-            serialize_node(child, &mut out)?;
-        }
-        if root.attr("final_newline") == Some("no") && out.ends_with('\n') {
-            out.pop();
-        }
-        Ok(out)
+        local::serialize(tree, serialize_node)
     }
 
     fn reparse_edited(&self, edited: ConfTree, site: &EditSite) -> Option<ConfTree> {

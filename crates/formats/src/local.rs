@@ -1,9 +1,37 @@
-//! The shared body of the edit-local re-parses
-//! ([`ConfigFormat::reparse_edited`]) of the line-oriented formats.
+//! The bodies the line-oriented formats (apache, ini, kv) share: the
+//! full serializer and the edit-local re-parse
+//! ([`ConfigFormat::reparse_edited`]).
 
 use conferr_tree::{ConfTree, EditSite, Node};
 
 use crate::{ConfigFormat, SerializeError};
+
+/// Bytes reserved per line of serialized output: above the example
+/// configurations' 20–25 bytes per line, so their text is written
+/// into one allocation.
+const LINE_ESTIMATE: usize = 32;
+
+/// Serializes the root's children with `serialize_node`, dropping the
+/// last newline when the root says the file had none.
+///
+/// The output is reserved up front from a line count (each root child
+/// and each of its children is about one line), so a file of a few
+/// kilobytes no longer grows its buffer about ten times.
+pub(crate) fn serialize(
+    tree: &ConfTree,
+    serialize_node: fn(&Node, &mut String) -> Result<(), SerializeError>,
+) -> Result<String, SerializeError> {
+    let root = tree.root();
+    let lines: usize = root.children().iter().map(|c| 1 + c.children().len()).sum();
+    let mut out = String::with_capacity(lines * LINE_ESTIMATE);
+    for child in root.children() {
+        serialize_node(child, &mut out)?;
+    }
+    if root.attr("final_newline") == Some("no") && out.ends_with('\n') {
+        out.pop();
+    }
+    Ok(out)
+}
 
 /// Re-parses `edited` from the lines of its one changed node.
 ///

@@ -168,18 +168,20 @@ fn diff_nodes(
 /// optimal matching, so they are paired directly and the quadratic
 /// DP runs only on the usually tiny middle window — this is what
 /// keeps the per-injection diff cost proportional to the edit, not
-/// to the configuration size.
+/// to the configuration size. A fault's tree shares every untouched
+/// child with the original, and a shared child has the same
+/// signature by construction, so the trim checks [`Node::ptr_eq`]
+/// before it reads any signature.
 fn lcs_pairs(a: &[Node], b: &[Node]) -> Vec<(usize, usize)> {
+    let same = |x: &Node, y: &Node| Node::ptr_eq(x, y) || signature(x) == signature(y);
     let n = a.len();
     let m = b.len();
     let mut prefix = 0;
-    while prefix < n && prefix < m && signature(&a[prefix]) == signature(&b[prefix]) {
+    while prefix < n && prefix < m && same(&a[prefix], &b[prefix]) {
         prefix += 1;
     }
     let mut suffix = 0;
-    while suffix < n - prefix
-        && suffix < m - prefix
-        && signature(&a[n - 1 - suffix]) == signature(&b[m - 1 - suffix])
+    while suffix < n - prefix && suffix < m - prefix && same(&a[n - 1 - suffix], &b[m - 1 - suffix])
     {
         suffix += 1;
     }

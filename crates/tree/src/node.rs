@@ -1,32 +1,100 @@
 //! The [`Node`] type: one information item of a configuration tree.
 
-use std::collections::BTreeMap;
-use std::fmt;
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::TreePath;
 
+/// Expands to `fn vocabulary`, which maps each listed word to its
+/// `&'static str` and every other string to `None`.
+macro_rules! vocabulary {
+    ($($word:literal)*) => {
+        fn vocabulary(s: &str) -> Option<&'static str> {
+            match s {
+                $($word => Some($word),)*
+                _ => None,
+            }
+        }
+    };
+}
+
+// Every node kind and attribute key the six built-in formats write.
+vocabulary! {
+    // Kinds.
+    "config" "section" "directive" "comment" "blank" "zone" "record"
+    "data" "line" "document" "decl" "element" "text" "cdata"
+    // Attribute keys.
+    "name" "indent" "sep" "trailing" "format" "final_newline" "args"
+    "arg_sep" "close_name" "close_indent" "close_trailing" "bare"
+    "owner" "ttl" "class" "rtype" "g1" "g2" "g3" "g4" "normalized"
+    "type" "tag" "raw_attrs" "self_closing"
+}
+
+/// Interns a node kind or attribute key: a word of the fixed
+/// [`vocabulary`] is borrowed and costs no allocation, any other
+/// string (xml tags, kinds made up by tests and plugins) is copied.
+/// `Cow` compares, orders and hashes by the string alone, so which
+/// variant holds a string is invisible.
+fn intern(s: &str) -> Cow<'static, str> {
+    vocabulary(s).map_or_else(|| Cow::Owned(s.to_owned()), Cow::Borrowed)
+}
+
 /// The owned payload of one node. Kept behind an [`Arc`] inside
 /// [`Node`] so that cloning a node — and therefore a whole subtree —
 /// is a reference-count bump. `Clone` here is *shallow* in the
-/// children: the child `Vec` is copied, but every child is itself an
-/// `Arc` handle, so detaching one node from a shared tree costs that
+/// children: the clone gets a new child `Vec` of refcount-bumped
+/// `Arc` handles, so detaching one node from a shared tree costs that
 /// node's own fields plus one refcount bump per direct child.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The kind and the attribute keys are [`intern`]ed, and the attributes
+/// are one `Vec` kept sorted by key with unique keys, so a node built
+/// by a parser allocates its `Arc`, one attribute vector, and one
+/// string per non-empty value and text — kinds and vocabulary keys
+/// allocate nothing.
+#[derive(Clone, PartialEq, Eq)]
 struct NodeData {
-    kind: String,
-    attrs: BTreeMap<String, String>,
+    kind: Cow<'static, str>,
+    attrs: Vec<(Cow<'static, str>, String)>,
     text: Option<String>,
     children: Vec<Node>,
+}
+
+impl NodeData {
+    /// Where `key` is in the sorted attribute vector: `Ok(index)` if
+    /// present, else `Err(index)` it would be inserted at. A node has
+    /// a handful of attributes, so a linear scan beats a binary
+    /// search.
+    fn position(&self, key: &str) -> Result<usize, usize> {
+        for (i, (k, _)) in self.attrs.iter().enumerate() {
+            match (**k).cmp(key) {
+                Ordering::Less => {}
+                Ordering::Equal => return Ok(i),
+                Ordering::Greater => return Err(i),
+            }
+        }
+        Err(self.attrs.len())
+    }
+
+    fn insert_attr(&mut self, key: &str, value: String) -> Option<String> {
+        match self.position(key) {
+            Ok(i) => Some(std::mem::replace(&mut self.attrs[i].1, value)),
+            Err(i) => {
+                self.attrs.insert(i, (intern(key), value));
+                None
+            }
+        }
+    }
 }
 
 /// One node of a configuration tree.
 ///
 /// A node mirrors an XML-infoset *information item*: it has a `kind`
 /// (the element name, e.g. `"directive"`, `"section"`, `"comment"`),
-/// an ordered map of string attributes, optional text content, and an
-/// ordered list of children.
+/// string attributes with unique keys, read back in key order,
+/// optional text content, and an ordered list of children.
 ///
 /// # Structural sharing
 ///
@@ -69,12 +137,14 @@ pub struct Node {
 
 impl Node {
     /// Creates a node of the given kind with no attributes, text or
-    /// children.
-    pub fn new(kind: impl Into<String>) -> Self {
+    /// children. Kinds and attribute keys the built-in formats use
+    /// are interned and cost no allocation; any other string is
+    /// copied.
+    pub fn new(kind: impl AsRef<str>) -> Self {
         Node {
             data: Arc::new(NodeData {
-                kind: kind.into(),
-                attrs: BTreeMap::new(),
+                kind: intern(kind.as_ref()),
+                attrs: Vec::new(),
                 text: None,
                 children: Vec::new(),
             }),
@@ -103,14 +173,14 @@ impl Node {
     }
 
     /// Replaces the node kind.
-    pub fn set_kind(&mut self, kind: impl Into<String>) {
-        self.make_mut().kind = kind.into();
+    pub fn set_kind(&mut self, kind: impl AsRef<str>) {
+        self.make_mut().kind = intern(kind.as_ref());
     }
 
     /// Builder-style: sets an attribute and returns `self`.
     #[must_use]
-    pub fn with_attr(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.make_mut().attrs.insert(key.into(), value.into());
+    pub fn with_attr(mut self, key: impl AsRef<str>, value: impl Into<String>) -> Self {
+        self.make_mut().insert_attr(key.as_ref(), value.into());
         self
     }
 
@@ -137,25 +207,30 @@ impl Node {
 
     /// Looks up an attribute value.
     pub fn attr(&self, key: &str) -> Option<&str> {
-        self.data.attrs.get(key).map(String::as_str)
+        // An equality scan, not `position`: comparing lengths first
+        // rejects most keys without reading their bytes.
+        self.data
+            .attrs
+            .iter()
+            .find(|(k, _)| &**k == key)
+            .map(|(_, v)| v.as_str())
     }
 
     /// Sets an attribute, returning the previous value if any.
-    pub fn set_attr(&mut self, key: impl Into<String>, value: impl Into<String>) -> Option<String> {
-        self.make_mut().attrs.insert(key.into(), value.into())
+    pub fn set_attr(&mut self, key: impl AsRef<str>, value: impl Into<String>) -> Option<String> {
+        self.make_mut().insert_attr(key.as_ref(), value.into())
     }
 
     /// Removes an attribute, returning its value if it was present.
     pub fn remove_attr(&mut self, key: &str) -> Option<String> {
-        self.make_mut().attrs.remove(key)
+        let data = self.make_mut();
+        let i = data.position(key).ok()?;
+        Some(data.attrs.remove(i).1)
     }
 
     /// All attributes in key order.
     pub fn attrs(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.data
-            .attrs
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
+        self.data.attrs.iter().map(|(k, v)| (&**k, v.as_str()))
     }
 
     /// Number of attributes.
@@ -215,21 +290,24 @@ impl Node {
     /// A compact single-line description used in diagnostics, e.g.
     /// `directive(name=Listen)="80"`.
     pub fn describe(&self) -> String {
-        let mut s = self.data.kind.clone();
-        if !self.data.attrs.is_empty() {
-            let attrs: Vec<String> = self
-                .data
-                .attrs
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect();
-            s.push('(');
-            s.push_str(&attrs.join(","));
+        let data = &*self.data;
+        let mut s = String::from(&*data.kind);
+        for (i, (k, v)) in data.attrs.iter().enumerate() {
+            s.push(if i == 0 { '(' } else { ',' });
+            s.push_str(k);
+            s.push('=');
+            s.push_str(v);
+        }
+        if !data.attrs.is_empty() {
             s.push(')');
         }
-        if let Some(t) = &self.data.text {
-            let shown: String = t.chars().take(40).collect();
-            s.push_str(&format!("={shown:?}"));
+        if let Some(t) = &data.text {
+            let shown = t
+                .char_indices()
+                .nth(40)
+                .map_or(t.as_str(), |(end, _)| &t[..end]);
+            // Writing into a `String` cannot fail.
+            let _ = write!(s, "={shown:?}");
         }
         s
     }
@@ -247,7 +325,29 @@ impl Eq for Node {}
 
 impl Hash for Node {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.data.hash(state);
+        // Feeds the hasher what a `BTreeMap<String, String>` of the
+        // attributes would: a length prefix, then each key and value.
+        let data = &*self.data;
+        data.kind.hash(state);
+        state.write_usize(data.attrs.len());
+        for (k, v) in &data.attrs {
+            k.hash(state);
+            v.hash(state);
+        }
+        data.text.hash(state);
+        data.children.hash(state);
+    }
+}
+
+/// Formats the attributes as a map in key order, the way a
+/// `BTreeMap<String, String>` would.
+struct AttrsDebug<'a>(&'a [(Cow<'static, str>, String)]);
+
+impl fmt::Debug for AttrsDebug<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map()
+            .entries(self.0.iter().map(|(k, v)| (k, v)))
+            .finish()
     }
 }
 
@@ -255,7 +355,7 @@ impl fmt::Debug for Node {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Node")
             .field("kind", &self.data.kind)
-            .field("attrs", &self.data.attrs)
+            .field("attrs", &AttrsDebug(&self.data.attrs))
             .field("text", &self.data.text)
             .field("children", &self.data.children)
             .finish()
