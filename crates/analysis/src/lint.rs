@@ -4,8 +4,9 @@
 //! [`FaultLinter::lint`] runs the *round-trip* pipeline on a fault's
 //! edit list: apply to the baseline, serialize the edited file with
 //! the real format, re-parse with the real parser (through
-//! [`TextParse::of_edit`], which re-parses only the edited node's
-//! lines when the format can prove that equal to a full parse), then
+//! [`TextParse::of_edit`] at the sites [`edit_sites`] finds, which
+//! re-parses only the edited node's lines when the format can prove
+//! that equal to a full parse), then
 //! evaluate the extracted dialect model against the baseline
 //! fingerprint. Because every stage reuses the exact code the
 //! simulator runs at startup, `WillFailParse`/`WillFailValidate`
@@ -13,9 +14,10 @@
 //! disagree.
 //!
 //! [`FaultLinter::lint_with`] is the same lint for a caller that has
-//! already applied and serialized the fault: the campaign engine
-//! parses its prepared text of the edited file once, the linter
-//! decides from that parse, and the simulator's startup reuses it.
+//! already applied, serialized and parsed the fault: the campaign
+//! engine parses its prepared text of each edited file once, the
+//! linter decides from that parse, and the simulator's startup reuses
+//! it.
 //! Both entries share one decision function and one memo, so they
 //! return identical lints; `lint` stays the self-contained path for
 //! the CLI, benchmarks and tests.
@@ -24,7 +26,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, LazyLock, Mutex};
 
 use conferr_formats::{format_by_name, ConfigFormat, ParseError, TextParse};
-use conferr_model::{ConfigSet, ErrorClass, FaultScenario, TreeEdit, TypoKind};
+use conferr_model::{edit_sites, ConfigSet, ErrorClass, FaultScenario, TreeEdit, TypoKind};
 use conferr_tree::{ConfTree, Node};
 
 use crate::schema::{Dialect, DirectiveSchema, FileSchema};
@@ -150,8 +152,10 @@ impl FaultLinter {
     /// linter calls `parse` with the edited file's name and its format
     /// for that file. The caller returns that format's parse of the
     /// file exactly as it would be started — apply, then serialize
-    /// with the same format — and the linter decides from it instead
-    /// of re-applying, re-serializing and re-parsing. `None` (no such
+    /// with the same format, then parse — and the linter decides from
+    /// it instead of re-applying, re-serializing and re-parsing. A
+    /// compound fault's verdict is `Unknown` without a parse, so
+    /// `parse` is not called for it. `None` (no such
     /// text: the edit did not apply or is inexpressible) falls back to
     /// the self-contained path. Either way the memo is consulted once,
     /// and only the lint is kept, never the parse.
@@ -241,9 +245,9 @@ impl FaultLinter {
             // without starting the SUT.
             return unknown();
         };
-        let parsed = match edits[0].site() {
-            Some(site) => {
-                TextParse::of_edit(format.as_ref(), &text, Arc::unwrap_or_clone(tree), &site)
+        let parsed = match edit_sites(edits, file) {
+            Some(sites) => {
+                TextParse::of_edit(format.as_ref(), &text, Arc::unwrap_or_clone(tree), &sites)
             }
             None => TextParse::new(format.as_ref(), &text),
         };

@@ -14,9 +14,11 @@
 //! pointer-shared with the baseline is neither re-serialized nor
 //! diffed — its shared text (plus precomputed content identity) is
 //! handed to the SUT, whose [`conferr_sut::ParseCache`] then skips
-//! re-parsing it at startup. A novel single-edit fault's one mutated
-//! file is parsed once, by the engine: the linter decides from that
-//! parse and the SUT's startup reuses it.
+//! re-parsing it at startup. A novel fault's mutated files are parsed
+//! once, by the engine, from the lines of the nodes its edits changed
+//! where the format can ([`conferr_model::edit_sites`]): the linter
+//! decides from that parse and the SUT's startup reuses it, whatever
+//! the verdict.
 //!
 //! `Campaign` is the borrowed-SUT serial reference: every other driver
 //! runs on a [`crate::CampaignExecutor`] (via
@@ -33,9 +35,12 @@ use std::time::Duration;
 use conferr_analysis::{FaultLinter, Lint, PrunePlan, StaticVerdict, TouchMap};
 use conferr_formats::{format_by_name, ConfigFormat};
 use conferr_model::{
-    ConfigSet, ErrorGenerator, FaultScenario, FaultSource, GenerateError, GeneratedFault, TreeEdit,
+    edit_sites, ConfigSet, ErrorGenerator, FaultScenario, FaultSource, GenerateError,
+    GeneratedFault, TreeEdit,
 };
-use conferr_sut::{ConfigPayload, Deadline, FileText, StartOutcome, SystemUnderTest, Tier};
+use conferr_sut::{
+    ConfigPayload, Deadline, FileText, StartOutcome, SystemUnderTest, TextOrigin, Tier,
+};
 use conferr_tree::diff;
 use parking_lot::Mutex;
 
@@ -682,7 +687,10 @@ impl InjectionEngine {
         match fault {
             GeneratedFault::Scenario(scenario) => {
                 let (prepared, edited) = self.prepare(&scenario);
-                let (lint, parsed_payload) = self.lint(&scenario.edits, &prepared, edited);
+                let parsed_payload = edited.and_then(|edited| {
+                    self.edit_parsed_payload(&scenario.edits, &prepared, edited)
+                });
+                let (lint, parsed_payload) = self.lint(&scenario.edits, &prepared, parsed_payload);
                 let verdict = self.annotate(lint.as_ref());
                 // `diff` clones below are `Arc` refcount bumps: every
                 // outcome of the same preparation shares one line
@@ -742,30 +750,61 @@ impl InjectionEngine {
         }
     }
 
-    /// Lints one scenario's edit list through the shared linter, when
-    /// the engine has one.
+    /// The per-fault payload of a cold preparation: a copy of the
+    /// prepared payload in which every edited file whose sites
+    /// [`edit_sites`] knows carries its format's parse, re-parsed from
+    /// the edited nodes' lines where the format can
+    /// ([`FileText::with_edit_parse`]). `None` when no file qualifies.
     ///
-    /// On a linter-memo miss for a single-edit fault, the prepared
-    /// text of the edited file is parsed once, with the linter's
-    /// format: the linter decides from that parse, and the returned
-    /// per-fault payload carries it to the SUT's startup (see
-    /// [`FileText::with_parse`]), so the text is not parsed again
-    /// there. When the cold preparation handed over its `edited` set
-    /// and the edit changed one node, only that node's lines are
-    /// re-parsed ([`FileText::with_edit_parse`]). The copy lives only
-    /// for this fault: the memoized `Prepared` never holds a parse or
-    /// an edited tree. A memo hit parses nothing and returns no
-    /// payload.
+    /// The copy lives only for this fault: the memoized `Prepared`
+    /// never holds a parse or an edited tree.
+    fn edit_parsed_payload(
+        &self,
+        edits: &[TreeEdit],
+        prepared: &Prepared,
+        mut edited: ConfigSet,
+    ) -> Option<ConfigPayload> {
+        let Prepared::Ready { payload, .. } = prepared else {
+            return None;
+        };
+        let mut per_fault: Option<ConfigPayload> = None;
+        for (file, text) in payload.iter() {
+            if text.origin() != TextOrigin::Mutated {
+                continue;
+            }
+            let Some(sites) = edit_sites(edits, file) else {
+                continue;
+            };
+            let (Some(format), Some(tree)) = (self.formats.get(file), edited.remove(file)) else {
+                continue;
+            };
+            let text = text.with_edit_parse(format.as_ref(), Arc::unwrap_or_clone(tree), &sites);
+            per_fault
+                .get_or_insert_with(|| payload.clone())
+                .insert(file, text);
+        }
+        per_fault
+    }
+
+    /// Lints one scenario's edit list through the shared linter, when
+    /// the engine has one, and returns the lint with the per-fault
+    /// payload the SUT starts from.
+    ///
+    /// On a linter-memo miss for a single-edit fault, the linter
+    /// decides from the engine's parse of the edited file: the one
+    /// `parsed_payload` carries, or else (an edit without a site) a
+    /// parse of the prepared text made here once and added to the
+    /// payload, so the SUT's startup does not parse the text again
+    /// (see [`FileText::with_parse`]).
     fn lint(
         &self,
         edits: &[TreeEdit],
         prepared: &Prepared,
-        edited: Option<ConfigSet>,
+        mut parsed_payload: Option<ConfigPayload>,
     ) -> (Option<Lint>, Option<ConfigPayload>) {
         let Some(analysis) = self.analysis.as_ref() else {
-            return (None, None);
+            return (None, parsed_payload);
         };
-        let mut parsed_payload = None;
         let lint = analysis.linter.lint_with(edits, |file, format| {
             let Prepared::Ready { payload, .. } = prepared else {
                 return None;
@@ -775,22 +814,18 @@ impl InjectionEngine {
             if self.formats.get(file)?.name() != format.name() {
                 return None;
             }
-            let text = payload.get(file)?;
-            let tree = edited.and_then(|mut set| set.remove(file));
-            let site = match edits {
-                [edit] => edit.site(),
-                _ => None,
-            };
-            let text = match (tree, site) {
-                (Some(tree), Some(site)) => {
-                    text.with_edit_parse(format, Arc::unwrap_or_clone(tree), &site)
-                }
-                _ => text.with_parse(format),
-            };
+            let carried = parsed_payload
+                .as_ref()
+                .and_then(|p| p.get(file))
+                .and_then(FileText::carried_parse);
+            if let Some(parse) = carried {
+                return Some(Arc::clone(parse));
+            }
+            let text = payload.get(file)?.with_parse(format);
             let parse = Arc::clone(text.carried_parse()?);
-            let mut per_fault = payload.clone();
-            per_fault.insert(file, text);
-            parsed_payload = Some(per_fault);
+            parsed_payload
+                .get_or_insert_with(|| payload.clone())
+                .insert(file, text);
             Some(parse)
         });
         (Some(lint), parsed_payload)
@@ -1250,8 +1285,8 @@ mod tests {
                 }
             }
         }
-        // The second pass hits the linter memo: nothing is parsed for
-        // the linter, so nothing is handed over.
+        // The second pass hits the fault memo: nothing is prepared
+        // cold, so nothing is parsed or handed over.
         campaign.run_faults(faults).unwrap();
         let baseline = campaign.baseline().get_arc("my.cnf").unwrap().clone();
         drop(campaign);
@@ -1271,6 +1306,41 @@ mod tests {
                 .filter(|(a, b)| conferr_tree::Node::ptr_eq(a, b))
                 .count();
             assert!(shared > 0, "a full parse shares nothing");
+        }
+    }
+
+    #[test]
+    fn two_edit_faults_and_linter_memo_hits_are_handed_an_edit_local_parse() {
+        let mut sut = ParseSpy::default();
+        let mut campaign = Campaign::new(&mut sut).unwrap();
+        // Every fault is prepared cold, so the second pass below hits
+        // the linter memo only.
+        campaign.set_fault_memoization(false);
+        let singles = TypoPlugin::new(Keyboard::qwerty_us(), TokenClass::DirectiveValues)
+            .with_kinds([TypoKind::Substitution])
+            .generate(campaign.baseline())
+            .unwrap();
+        let pairs = conferr_model::product_eager(&singles[..3], &singles[3..6]);
+        let singles = singles[..4].to_vec();
+        let total = pairs.len() + singles.len();
+        for _ in 0..2 {
+            campaign.run_faults(pairs.clone()).unwrap();
+            campaign.run_faults(singles.clone()).unwrap();
+        }
+        let baseline = campaign.baseline().get_arc("my.cnf").unwrap().clone();
+        drop(campaign);
+        assert_eq!(sut.starts, 1 + 2 * total);
+        assert_eq!(sut.carried.len(), 2 * total, "every start got a parse");
+        for parse in &sut.carried {
+            let tree = parse.result().expect("value typos parse");
+            assert!(
+                tree.root()
+                    .children()
+                    .iter()
+                    .zip(baseline.root().children())
+                    .any(|(a, b)| conferr_tree::Node::ptr_eq(a, b)),
+                "a full parse shares nothing"
+            );
         }
     }
 

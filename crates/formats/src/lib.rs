@@ -142,6 +142,22 @@ pub trait ConfigFormat: std::fmt::Debug + Send + Sync {
     ///   a section (or leaves a preceding one open) must be followed
     ///   by a header or the end of the file.
     ///
+    /// # Several sites
+    ///
+    /// A fault of several edits changes several disjoint nodes.
+    /// [`reparse_sites`] calls this method once per site, in reverse
+    /// document order, on a tree whose later sites are already
+    /// re-parsed and whose earlier sites are not yet. The checks above
+    /// stay sound there. `kv` and `apache` read nothing outside the
+    /// site. An `ini` site reads the node after it, which is final,
+    /// since every later site is already re-parsed; and the nodes
+    /// before it, to see whether a section is open. An earlier site
+    /// that is still unparsed may hide a header there. But a fragment
+    /// that opens a section takes over the lines that follow it, and
+    /// so fails its own "must be followed by a header or the end of
+    /// the file" check when its turn comes: the whole text is parsed
+    /// then.
+    ///
     /// Callers do not use this directly: [`TextParse::of_edit`] takes
     /// the local result when there is one and parses the text
     /// otherwise.
@@ -183,13 +199,21 @@ impl TextParse {
     }
 
     /// `format`'s parse of `text`, the text `format` serialized from
-    /// `edited`, where `edited` is a tree `format` parsed with one
-    /// node changed at `site`.
+    /// `edited`, where `edited` is a tree `format` parsed with disjoint
+    /// nodes changed at `sites`.
     ///
-    /// Takes the edit-local re-parse ([`ConfigFormat::reparse_edited`])
-    /// when the format offers one and parses `text` otherwise, so the
-    /// result is always that of [`TextParse::new`]. Builds with debug
-    /// assertions check this on every local result.
+    /// Takes the edit-local re-parse ([`reparse_sites`]) when the
+    /// format offers one at every site and parses `text` otherwise, so
+    /// the result is always that of [`TextParse::new`]. Builds with
+    /// debug assertions check this on every local result.
+    ///
+    /// `sites` must not nest or share a path and must be sorted in
+    /// reverse document order, as `conferr_model::edit_sites` returns
+    /// them. Each site's local re-parse then sees the sites after it
+    /// already re-parsed, so what follows the site is final; see
+    /// "Several sites" under [`ConfigFormat::reparse_edited`] for why
+    /// this is sound for `ini`, whose checks also read what precedes a
+    /// site.
     ///
     /// # Examples
     ///
@@ -198,11 +222,13 @@ impl TextParse {
     /// use conferr_tree::{EditSite, TreePath};
     ///
     /// let kv = KvFormat::new();
-    /// let mut edited = kv.parse("port = 5432\nmax_connections = 10\n").unwrap();
-    /// let path = TreePath::from(vec![1]);
-    /// edited.set_text_at(&path, Some("1\nfsync = off".into())).unwrap();
+    /// let mut edited = kv.parse("port = 5432\nmax_connections = 10\nfsync = on\n").unwrap();
+    /// let (first, last) = (TreePath::from(vec![0]), TreePath::from(vec![2]));
+    /// edited.set_text_at(&first, Some("1\nwork_mem = 4MB".into())).unwrap();
+    /// edited.delete(&last).unwrap();
     /// let text = kv.serialize(&edited).unwrap();
-    /// let parse = TextParse::of_edit(&kv, &text, edited, &EditSite::Replaced(path));
+    /// let sites = [EditSite::Removed(last), EditSite::Replaced(first)];
+    /// let parse = TextParse::of_edit(&kv, &text, edited, &sites);
     /// assert_eq!(parse.result(), kv.parse(&text).as_ref());
     /// assert_eq!(parse.result().unwrap().root().children().len(), 3);
     /// ```
@@ -210,17 +236,16 @@ impl TextParse {
         format: &dyn ConfigFormat,
         text: &str,
         edited: ConfTree,
-        site: &EditSite,
+        sites: &[EditSite],
     ) -> Self {
-        let Some(tree) = format.reparse_edited(edited, site) else {
+        let Some(tree) = reparse_sites(format, edited, sites) else {
             return Self::new(format, text);
         };
         debug_assert_eq!(
             format.parse(text).as_ref(),
             Ok(&tree),
-            "{} edit-local re-parse at {} differs from a full parse of {text:?}",
+            "{} edit-local re-parse at {sites:?} differs from a full parse of {text:?}",
             format.name(),
-            site.path(),
         );
         TextParse {
             format: format.name().to_string(),
@@ -237,6 +262,30 @@ impl TextParse {
     pub fn result(&self) -> Result<&ConfTree, &ParseError> {
         self.result.as_ref()
     }
+}
+
+/// [`ConfigFormat::reparse_edited`] at each of `sites` in turn, or
+/// `None` as soon as one site has no local re-parse (or when there is
+/// no site).
+///
+/// `sites` must be disjoint and in reverse document order (see
+/// [`TextParse::of_edit`], which is how callers use this). `Some(tree)`
+/// then equals `format.parse(&format.serialize(&edited)?)`.
+pub fn reparse_sites(
+    format: &dyn ConfigFormat,
+    edited: ConfTree,
+    sites: &[EditSite],
+) -> Option<ConfTree> {
+    debug_assert!(
+        sites.windows(2).all(|pair| pair[0].path() > pair[1].path()),
+        "sites out of reverse document order: {sites:?}"
+    );
+    if sites.is_empty() {
+        return None;
+    }
+    sites
+        .iter()
+        .try_fold(edited, |tree, site| format.reparse_edited(tree, site))
 }
 
 /// All built-in formats, for registry-style lookup.

@@ -86,7 +86,9 @@ pub use combine::{Filter, Limit, Sample, Union};
 pub use error::ModelError;
 pub use generator::{ErrorGenerator, GenerateError, GeneratedFault, TemplateGenerator};
 pub use plan::{FaultPlan, PlanAction, PlanSource, PlanStep, StepKind};
-pub use scenario::{CognitiveLevel, ErrorClass, FaultScenario, StructuralKind, TreeEdit, TypoKind};
+pub use scenario::{
+    edit_sites, CognitiveLevel, ErrorClass, FaultScenario, StructuralKind, TreeEdit, TypoKind,
+};
 pub use set::ConfigSet;
 pub use source::{
     combine_faults, product_eager, sample_keeps, BoxFaultSource, ChainSource, EagerSource,

@@ -296,6 +296,103 @@ impl TreeEdit {
     }
 }
 
+/// Where `edits` change `file`: one [`EditSite`] per disjoint change,
+/// in the coordinates of the tree after the last edit, sorted in
+/// reverse document order (the order in which a format can re-parse
+/// them one by one, see `conferr_formats::TextParse::of_edit`).
+///
+/// The edits are walked in order:
+///
+/// * An edit without a [`TreeEdit::site`] (a structural edit) gives
+///   `None`.
+/// * A `Delete` at `q` drops the earlier sites at or under `q` (that
+///   subtree is gone) and shifts the earlier sites among `q`'s later
+///   siblings, and under them, down by one.
+/// * A replaced node inside another replaced node is absorbed into the
+///   outer one, whichever came first: the outer node's lines hold it.
+///
+/// The result is `None` when two of the remaining sites share a path
+/// or nest: two removals at one path, a removal and the replaced node
+/// right after it (the removal's neighbour), or a removal inside a
+/// replaced node. Each site's neighbours then are nodes the format
+/// parsed, or sites it re-parsed before. It is also `None` when no
+/// edit targets `file`.
+///
+/// # Examples
+///
+/// ```
+/// use conferr_model::{edit_sites, TreeEdit};
+/// use conferr_tree::{EditSite, TreePath};
+///
+/// let set_text = |path: Vec<usize>| TreeEdit::SetText {
+///     file: "f".into(),
+///     path: TreePath::from(path),
+///     text: Some("x".into()),
+/// };
+/// let delete = TreeEdit::Delete { file: "f".into(), path: TreePath::from(vec![1]) };
+/// // The node edited at /3 is at /2 once /1 is deleted.
+/// let sites = edit_sites(&[set_text(vec![3]), delete.clone()], "f").unwrap();
+/// assert_eq!(
+///     sites,
+///     [EditSite::Replaced(TreePath::from(vec![2])), EditSite::Removed(TreePath::from(vec![1]))]
+/// );
+/// // A structural edit has no site.
+/// let duplicate = TreeEdit::DuplicateAfter { file: "f".into(), path: TreePath::from(vec![0]) };
+/// assert!(edit_sites(&[delete, duplicate], "f").is_none());
+/// ```
+pub fn edit_sites(edits: &[TreeEdit], file: &str) -> Option<Vec<EditSite>> {
+    let covers = |outer: &TreePath, inner: &TreePath| outer == inner || outer.is_ancestor_of(inner);
+    let mut sites: Vec<EditSite> = Vec::new();
+    for edit in edits.iter().filter(|edit| edit.file() == file) {
+        match edit.site()? {
+            EditSite::Removed(removed) => {
+                let parent = removed.parent()?;
+                let index = removed.last_index()?;
+                if sites
+                    .iter()
+                    .any(|site| matches!(site, EditSite::Removed(path) if *path == removed))
+                {
+                    return None;
+                }
+                sites.retain(|site| !covers(&removed, site.path()));
+                let level = parent.depth();
+                for site in &mut sites {
+                    let indices = site.path().indices();
+                    if parent.is_ancestor_of(site.path()) && indices[level] > index {
+                        let mut shifted = indices.to_vec();
+                        shifted[level] -= 1;
+                        *site = match site {
+                            EditSite::Replaced(_) => EditSite::Replaced(shifted.into()),
+                            EditSite::Removed(_) => EditSite::Removed(shifted.into()),
+                        };
+                    }
+                }
+                sites.push(EditSite::Removed(removed));
+            }
+            EditSite::Replaced(replaced) => {
+                let absorbed = sites.iter().any(
+                    |site| matches!(site, EditSite::Replaced(outer) if covers(outer, &replaced)),
+                );
+                if !absorbed {
+                    sites.retain(
+                        |site| !matches!(site, EditSite::Replaced(inner) if covers(&replaced, inner)),
+                    );
+                    sites.push(EditSite::Replaced(replaced));
+                }
+            }
+        }
+    }
+    sites.sort_by(|a, b| b.path().cmp(a.path()));
+    // Sorted, a site's descendants follow it (here: precede it), so
+    // comparing neighbours in the order finds every shared or nested
+    // path.
+    let disjoint = sites.windows(2).all(|pair| {
+        let (later, earlier) = (pair[0].path(), pair[1].path());
+        later != earlier && !earlier.is_ancestor_of(later)
+    });
+    (disjoint && !sites.is_empty()).then_some(sites)
+}
+
 /// One realistic configuration mistake: an identifier, a human-readable
 /// description, a taxonomy class, and the edits that realise it.
 ///
@@ -482,6 +579,119 @@ mod tests {
         }]);
         let out = sc.apply(&set()).unwrap();
         assert!(out.get("app.conf").unwrap().is_empty());
+    }
+
+    fn set_text(file: &str, path: &[usize]) -> TreeEdit {
+        TreeEdit::SetText {
+            file: file.into(),
+            path: TreePath::from(path.to_vec()),
+            text: Some("x".into()),
+        }
+    }
+
+    fn delete(file: &str, path: &[usize]) -> TreeEdit {
+        TreeEdit::Delete {
+            file: file.into(),
+            path: TreePath::from(path.to_vec()),
+        }
+    }
+
+    fn replaced(path: &[usize]) -> EditSite {
+        EditSite::Replaced(TreePath::from(path.to_vec()))
+    }
+
+    fn removed(path: &[usize]) -> EditSite {
+        EditSite::Removed(TreePath::from(path.to_vec()))
+    }
+
+    #[test]
+    fn edit_sites_shift_through_a_delete() {
+        // Later siblings of the deleted node, and the nodes under
+        // them, move down by one; earlier siblings and other parents
+        // stay where they are.
+        let edits = [
+            set_text("f", &[0, 4]),
+            set_text("f", &[0, 5, 2]),
+            set_text("f", &[0, 1]),
+            set_text("f", &[1, 5]),
+            set_text("g", &[0, 3]),
+            delete("f", &[0, 2]),
+        ];
+        assert_eq!(
+            edit_sites(&edits, "f").unwrap(),
+            [
+                replaced(&[1, 5]),
+                replaced(&[0, 4, 2]),
+                replaced(&[0, 3]),
+                removed(&[0, 2]),
+                replaced(&[0, 1]),
+            ]
+        );
+        // A site under the deleted node goes with it.
+        let edits = [
+            set_text("f", &[2, 1]),
+            delete("f", &[1, 0]),
+            delete("f", &[2]),
+        ];
+        assert_eq!(
+            edit_sites(&edits, "f").unwrap(),
+            [removed(&[2]), removed(&[1, 0])]
+        );
+        assert_eq!(edit_sites(&edits[1..], "g"), None, "no edit of g");
+    }
+
+    #[test]
+    fn edit_sites_absorb_into_a_replaced_ancestor() {
+        for edits in [
+            [set_text("f", &[2, 1]), set_text("f", &[2])],
+            [set_text("f", &[2]), set_text("f", &[2, 0, 1])],
+            [set_text("f", &[2]), set_text("f", &[2])],
+        ] {
+            assert_eq!(edit_sites(&edits, "f").unwrap(), [replaced(&[2])]);
+        }
+    }
+
+    #[test]
+    fn edit_sites_reject_shared_and_nested_paths() {
+        for edits in [
+            // Two removals at one path, before or after a shift.
+            vec![delete("f", &[1]), delete("f", &[1])],
+            vec![delete("f", &[2]), delete("f", &[1])],
+            // A removal inside the node now at a removed path.
+            vec![delete("f", &[2, 0]), delete("f", &[1])],
+            // A replaced node over an earlier removal: around it, or
+            // right after it.
+            vec![delete("f", &[1, 0]), set_text("f", &[1])],
+            vec![delete("f", &[1]), set_text("f", &[1])],
+            // A removal inside a replaced node.
+            vec![set_text("f", &[1]), delete("f", &[1, 0])],
+            // The root is never a removal site.
+            vec![delete("f", &[])],
+        ] {
+            assert_eq!(edit_sites(&edits, "f"), None, "{edits:?}");
+        }
+    }
+
+    #[test]
+    fn edit_sites_of_a_structural_edit_are_unknown() {
+        let structural = [
+            TreeEdit::DuplicateAfter {
+                file: "f".into(),
+                path: TreePath::from(vec![0]),
+            },
+            TreeEdit::ReplaceTree {
+                file: "f".into(),
+                tree: ConfTree::new(Node::new("config")),
+            },
+        ];
+        for edit in structural {
+            let edits = [set_text("f", &[3]), edit.clone()];
+            assert_eq!(edit_sites(&edits, "f"), None, "{edit:?}");
+            // Another file's structural edit does not matter.
+            assert_eq!(edit_sites(&edits, "g"), None, "g has no edit of its own");
+            let edits = [set_text("g", &[3]), edit];
+            assert_eq!(edit_sites(&edits, "g").unwrap(), [replaced(&[3])]);
+        }
     }
 
     #[test]

@@ -83,6 +83,33 @@ pub trait FaultSource {
     fn size_hint(&self) -> (usize, Option<usize>) {
         (0, None)
     }
+
+    /// Skips the next `n` faults, exactly as pulling and dropping them
+    /// would, and returns how many were skipped: fewer than `n` only
+    /// when the source ran dry.
+    ///
+    /// The default pulls the faults and drops them. A source that can
+    /// skip without building its faults overrides it; the
+    /// [`sample`](FaultSourceExt::sample) and
+    /// [`skip`](FaultSourceExt::skip) adapters call it for every fault
+    /// they would throw away.
+    ///
+    /// # Errors
+    ///
+    /// As [`next_chunk`](Self::next_chunk).
+    fn discard(&mut self, n: usize) -> Result<usize, GenerateError> {
+        let mut scratch = Vec::new();
+        let mut skipped = 0;
+        while skipped < n {
+            scratch.clear();
+            let pulled = self.next_chunk((n - skipped).min(DEFAULT_PULL), &mut scratch)?;
+            if pulled == 0 {
+                break;
+            }
+            skipped += pulled;
+        }
+        Ok(skipped)
+    }
 }
 
 impl<S: FaultSource + ?Sized> FaultSource for &mut S {
@@ -97,6 +124,10 @@ impl<S: FaultSource + ?Sized> FaultSource for &mut S {
     fn size_hint(&self) -> (usize, Option<usize>) {
         (**self).size_hint()
     }
+
+    fn discard(&mut self, n: usize) -> Result<usize, GenerateError> {
+        (**self).discard(n)
+    }
 }
 
 impl<S: FaultSource + ?Sized> FaultSource for Box<S> {
@@ -110,6 +141,10 @@ impl<S: FaultSource + ?Sized> FaultSource for Box<S> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         (**self).size_hint()
+    }
+
+    fn discard(&mut self, n: usize) -> Result<usize, GenerateError> {
+        (**self).discard(n)
     }
 }
 
@@ -147,21 +182,19 @@ pub trait FaultSourceExt: FaultSource + Sized {
             seed,
             rate,
             index: 0,
-            scratch: Vec::new(),
         }
     }
 
     /// Everything after the first `n` faults. The skipped prefix is
-    /// still *generated* (then discarded), so positions keep their
-    /// global meaning — which is exactly what checkpoint resume
-    /// needs: re-run the same source with the completed prefix
-    /// skipped and the surviving faults line up index-for-index with
-    /// the uninterrupted run.
+    /// still enumerated (through [`FaultSource::discard`]), so
+    /// positions keep their global meaning — which is exactly what
+    /// checkpoint resume needs: re-run the same source with the
+    /// completed prefix skipped and the surviving faults line up
+    /// index-for-index with the uninterrupted run.
     fn skip(self, n: usize) -> SkipSource<Self> {
         SkipSource {
             inner: self,
             to_skip: n,
-            scratch: Vec::new(),
         }
     }
 
@@ -427,8 +460,6 @@ impl<S: FaultSource> FaultSource for TakeSource<S> {
 pub struct SkipSource<S> {
     inner: S,
     to_skip: usize,
-    /// Reused discard buffer for the prefix drain.
-    scratch: Vec<GeneratedFault>,
 }
 
 impl<S: FaultSource> FaultSource for SkipSource<S> {
@@ -437,16 +468,14 @@ impl<S: FaultSource> FaultSource for SkipSource<S> {
         max: usize,
         out: &mut Vec<GeneratedFault>,
     ) -> Result<usize, GenerateError> {
-        while self.to_skip > 0 {
-            self.scratch.clear();
-            let pull = self.to_skip.min(DEFAULT_PULL);
-            let n = self.inner.next_chunk(pull, &mut self.scratch)?;
-            if n == 0 {
+        if self.to_skip > 0 {
+            let skipped = self.inner.discard(self.to_skip)?;
+            let ran_dry = skipped < self.to_skip;
+            self.to_skip = 0;
+            if ran_dry {
                 // Inner ran dry inside the prefix: nothing survives.
-                self.to_skip = 0;
                 return Ok(0);
             }
-            self.to_skip -= n.min(self.to_skip);
         }
         let hint = self.size_hint();
         let n = self.inner.next_chunk(max, out)?;
@@ -491,8 +520,12 @@ pub struct SampleSource<S> {
     rate: f64,
     /// Global index of the next inner fault.
     index: u64,
-    scratch: Vec<GeneratedFault>,
 }
+
+/// The longest run of rejected indices [`SampleSource`] decides before
+/// it discards them, so a rate that keeps nothing still makes
+/// progress in bounded steps.
+const REJECT_RUN: usize = 4096;
 
 impl<S: FaultSource> FaultSource for SampleSource<S> {
     fn next_chunk(
@@ -503,27 +536,35 @@ impl<S: FaultSource> FaultSource for SampleSource<S> {
         let max = max.max(1);
         let before = out.len();
         let hint = self.size_hint();
-        // Keep pulling inner chunks until at least one fault survives
-        // the filter (or the inner source runs dry): returning 0 must
-        // mean exhausted.
-        loop {
-            self.scratch.clear();
-            if self.inner.next_chunk(max, &mut self.scratch)? == 0 {
-                debug_check_hint(hint, out.len() - before);
-                return Ok(out.len() - before);
-            }
-            for fault in self.scratch.drain(..) {
-                let keep = sample_keeps(self.seed, self.index, self.rate);
-                self.index += 1;
-                if keep {
-                    out.push(fault);
+        let keeps = |index: u64| sample_keeps(self.seed, index, self.rate);
+        // The decision depends on the index alone, so a run of
+        // rejected faults is discarded without being built, and a run
+        // of kept ones is pulled in one chunk. Returning 0 must mean
+        // exhausted, so this fills `max` or drains the inner source.
+        while out.len() - before < max {
+            let rejected = (0..REJECT_RUN)
+                .take_while(|&i| !keeps(self.index + i as u64))
+                .count();
+            if rejected > 0 {
+                let skipped = self.inner.discard(rejected)?;
+                self.index += skipped as u64;
+                if skipped < rejected {
+                    break;
                 }
+                continue;
             }
-            if out.len() > before {
-                debug_check_hint(hint, out.len() - before);
-                return Ok(out.len() - before);
+            let wanted = max - (out.len() - before);
+            let kept = (0..wanted)
+                .take_while(|&i| keeps(self.index + i as u64))
+                .count();
+            let pulled = self.inner.next_chunk(kept, out)?;
+            self.index += pulled as u64;
+            if pulled == 0 {
+                break;
             }
         }
+        debug_check_hint(hint, out.len() - before);
+        Ok(out.len() - before)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -572,19 +613,13 @@ pub struct ProductSource<A, B> {
     right_pos: usize,
 }
 
-impl<A: FaultSource, B: FaultSource> FaultSource for ProductSource<A, B> {
-    fn next_chunk(
-        &mut self,
-        max: usize,
-        out: &mut Vec<GeneratedFault>,
-    ) -> Result<usize, GenerateError> {
-        let max = max.max(1);
+impl<A: FaultSource, B: FaultSource> ProductSource<A, B> {
+    /// Materializes the right side on the first pull; the left side
+    /// streams. A failure mid-materialization is terminal: the partial
+    /// right list is discarded so a retried pull reports exhaustion
+    /// instead of silently enumerating a truncated product.
+    fn materialize_right(&mut self) -> Result<(), GenerateError> {
         if let Some(right) = &mut self.right {
-            // Materialize the right side once; the left side streams.
-            // A failure mid-materialization is terminal: the partial
-            // right list is discarded so a retried pull reports
-            // exhaustion instead of silently enumerating a truncated
-            // product.
             loop {
                 match right.next_chunk(DEFAULT_PULL, &mut self.right_faults) {
                     Ok(0) => break,
@@ -598,13 +633,25 @@ impl<A: FaultSource, B: FaultSource> FaultSource for ProductSource<A, B> {
             }
             self.right = None;
         }
-        let before = out.len();
+        Ok(())
+    }
+
+    /// Walks the next `max` pairs the product enumerates (pairs with
+    /// an inexpressible half are passed over, not counted), handing
+    /// each to `visit`; returns how many it walked, fewer only at the
+    /// end.
+    fn walk(
+        &mut self,
+        max: usize,
+        mut visit: impl FnMut(&GeneratedFault, &GeneratedFault),
+    ) -> Result<usize, GenerateError> {
+        self.materialize_right()?;
         if self.right_faults.is_empty() {
             return Ok(0);
         }
-        let hint = self.size_hint();
+        let mut walked = 0;
         let mut chunk = Vec::new();
-        while out.len() - before < max {
+        while walked < max {
             if self.current.is_none() {
                 chunk.clear();
                 if self.left.next_chunk(1, &mut chunk)? == 0 {
@@ -614,19 +661,45 @@ impl<A: FaultSource, B: FaultSource> FaultSource for ProductSource<A, B> {
                 self.right_pos = 0;
             }
             let a = self.current.as_ref().expect("set above");
-            while self.right_pos < self.right_faults.len() && out.len() - before < max {
+            if a.scenario().is_none() {
+                // Every pair with this half is passed over.
+                self.right_pos = self.right_faults.len();
+            }
+            while self.right_pos < self.right_faults.len() && walked < max {
                 let b = &self.right_faults[self.right_pos];
                 self.right_pos += 1;
-                if let Some(combined) = combine_faults(a, b) {
-                    out.push(combined);
+                if b.scenario().is_some() {
+                    visit(a, b);
+                    walked += 1;
                 }
             }
             if self.right_pos >= self.right_faults.len() {
                 self.current = None;
             }
         }
-        debug_check_hint(hint, out.len() - before);
-        Ok(out.len() - before)
+        Ok(walked)
+    }
+}
+
+impl<A: FaultSource, B: FaultSource> FaultSource for ProductSource<A, B> {
+    fn next_chunk(
+        &mut self,
+        max: usize,
+        out: &mut Vec<GeneratedFault>,
+    ) -> Result<usize, GenerateError> {
+        self.materialize_right()?;
+        let hint = self.size_hint();
+        let n = self.walk(max.max(1), |a, b| {
+            out.push(combine_faults(a, b).expect("both halves are expressible"));
+        })?;
+        debug_check_hint(hint, n);
+        Ok(n)
+    }
+
+    /// Advances past `n` pairs without combining them: no edit list
+    /// is cloned and no id or description is formatted.
+    fn discard(&mut self, n: usize) -> Result<usize, GenerateError> {
+        self.walk(n, |_, _| {})
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

@@ -4,7 +4,9 @@
 //! faults its eager counterpart produces, in the same order, no
 //! matter how a consumer chunks its pulls — that equivalence is what
 //! lets the campaign executor swap eager fault `Vec`s for live
-//! sources without changing a single profile byte.
+//! sources without changing a single profile byte. Skipping faults
+//! with [`FaultSource::discard`] must likewise equal pulling and
+//! dropping them.
 
 use conferr_model::{
     product_eager, sample_keeps, EagerSource, ErrorClass, FaultScenario, FaultSource,
@@ -48,8 +50,8 @@ fn arb_pulls() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(1usize..9, 1..5)
 }
 
-/// Drains `source` using the cycled pull sizes, also checking the
-/// size-hint invariant (`lower ≤ remaining ≤ upper`) at every step.
+/// Drains `source` using the cycled pull sizes (each pull also checks
+/// the size-hint invariant in debug builds).
 fn drain_with(mut source: impl FaultSource, pulls: &[usize]) -> Vec<GeneratedFault> {
     let mut out = Vec::new();
     let mut i = 0;
@@ -71,8 +73,61 @@ fn drain_with(mut source: impl FaultSource, pulls: &[usize]) -> Vec<GeneratedFau
     }
 }
 
+/// One of the compositions `discard` is checked over, picked by
+/// `kind`: eager, product, sampled product, skipped chain, and all of
+/// them nested.
+fn composition(
+    kind: u8,
+    a: &[GeneratedFault],
+    b: &[GeneratedFault],
+    seed: u64,
+    rate: f64,
+    skip: usize,
+) -> Box<dyn FaultSource> {
+    let eager = |faults: &[GeneratedFault]| EagerSource::new(faults.to_vec());
+    match kind {
+        0 => Box::new(eager(a)),
+        1 => Box::new(eager(a).product(eager(b))),
+        2 => Box::new(eager(a).product(eager(b)).sample(seed, rate)),
+        3 => Box::new(eager(a).chain(eager(b)).skip(skip)),
+        _ => Box::new(
+            eager(a)
+                .product(eager(b))
+                .chain(eager(a))
+                .sample(seed, rate)
+                .skip(skip),
+        ),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn discard_equals_dropping_the_pulled_prefix(
+        kind in 0u8..5,
+        a in arb_faults("a", 12),
+        b in arb_faults("b", 12),
+        seed in any::<u64>(),
+        rate_pct in 0u32..=100,
+        skip in 0usize..20,
+        n in 0usize..60,
+        pulls in arb_pulls(),
+    ) {
+        let rate = f64::from(rate_pct) / 100.0;
+        let build = || composition(kind, &a, &b, seed, rate, skip);
+        let all = drain_with(build(), &pulls);
+        let mut source = build();
+        let discarded = source.discard(n).expect("eager-backed");
+        prop_assert_eq!(discarded, n.min(all.len()));
+        let (lower, upper) = source.size_hint();
+        let rest = drain_with(&mut source, &pulls);
+        prop_assert_eq!(&rest[..], &all[discarded..]);
+        prop_assert!(lower <= rest.len(), "lower bound {} > {}", lower, rest.len());
+        prop_assert!(upper.is_none_or(|upper| rest.len() <= upper), "upper bound {:?} < {}", upper, rest.len());
+        // A source that ran dry stays dry.
+        prop_assert_eq!(source.discard(n).expect("eager-backed"), 0);
+    }
 
     #[test]
     fn chain_equals_concatenation(

@@ -32,8 +32,9 @@
 //!   campaigns cannot grow the cache without limit.
 //!
 //! A novel fault misses the cache, but its text need not be parsed
-//! twice: the campaign engine already parsed it once for the static
-//! linter. A [`FileText`] can carry that parse
+//! in full: the campaign engine already parsed it once, from the
+//! edited nodes' lines where it could, and the static linter decided
+//! from that parse. A [`FileText`] can carry that parse
 //! ([`FileText::with_parse`] and [`FileText::with_edit_parse`] are the
 //! only ways to attach one, and both produce the format's parse of the
 //! `FileText`'s own bytes), tagged with the format's name.
@@ -182,19 +183,20 @@ impl FileText {
     }
 
     /// [`with_parse`](Self::with_parse) for text serialized with
-    /// `format` from `edited`, a tree `format` parsed with one node
-    /// changed at `site`: the parse is built by
-    /// [`TextParse::of_edit`], which re-parses only the changed node's
+    /// `format` from `edited`, a tree `format` parsed with disjoint
+    /// nodes changed at `sites` (in reverse document order, as
+    /// `conferr_model::edit_sites` returns them): the parse is built by
+    /// [`TextParse::of_edit`], which re-parses only the changed nodes'
     /// lines when the format can, and this file's text otherwise.
     pub fn with_edit_parse(
         &self,
         format: &dyn ConfigFormat,
         edited: ConfTree,
-        site: &EditSite,
+        sites: &[EditSite],
     ) -> FileText {
         FileText {
             parse: Some(Arc::new(TextParse::of_edit(
-                format, &self.text, edited, site,
+                format, &self.text, edited, sites,
             ))),
             ..self.clone()
         }

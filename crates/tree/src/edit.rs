@@ -24,7 +24,9 @@ pub struct EditOutcome {
 ///
 /// A format can re-parse an edited tree from the site's own lines
 /// instead of the whole document (see `conferr_formats::ConfigFormat`);
-/// the site is all it needs to find them.
+/// the site is all it needs to find them. A fault of several edits
+/// leaves one site per disjoint change (see
+/// `conferr_model::edit_sites`).
 ///
 /// ```
 /// use conferr_tree::{EditSite, TreePath};
@@ -32,7 +34,7 @@ pub struct EditOutcome {
 /// let site = EditSite::Removed(TreePath::from(vec![0, 2]));
 /// assert_eq!(site.path().to_string(), "/0/2");
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EditSite {
     /// The node at this path was changed in place: its text, its
     /// attributes, or anything in its subtree.

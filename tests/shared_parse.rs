@@ -1,7 +1,7 @@
 //! Shared-parse identity: a simulator start that reuses the campaign
 //! engine's parse of a fault's mutated file (see
-//! `conferr_sut::FileText::with_parse`) must be indistinguishable from
-//! a start that parses the text itself.
+//! `conferr_sut::FileText::with_parse` and `with_edit_parse`) must be
+//! indistinguishable from a start that parses the text itself.
 //!
 //! * Fault by fault, over each of the six systems' loads, a start
 //!   handed the parse equals an uncached (`set_parse_caching(false)`)
@@ -14,9 +14,16 @@
 //!   (`ConfigFormat::reparse_edited`): directives turned into section
 //!   tags, values turned into broken or real ini section headers, and
 //!   text with line breaks.
+//! * And for two-edit loads, whose parse is spliced from several
+//!   sites (`conferr_model::edit_sites`): the Table 1 load crossed
+//!   with itself and sampled as the stream benchmark samples it, and
+//!   the fallback load crossed with the Table 1 load.
 //! * On the Table 1 loads of seeds 0..50, at least 99 % of the
 //!   single-node faults of mysql, postgres and apache are re-parsed
-//!   locally, so the fast path cannot silently stop being taken.
+//!   locally, and on the sampled pair loads of seeds 7 and 3 at least
+//!   95 % (apache) and 85 % (mysql, postgres) of the same-file
+//!   two-edit faults, so the fast path cannot silently stop being
+//!   taken.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -25,9 +32,12 @@ use conferr::{
     profile_to_json, sut_factory, Campaign, CampaignExecutor, ExecutorCampaign, SutFactory,
 };
 use conferr_bench::{appserver_faultload, djbdns_faultload, table1_faultload, DEFAULT_SEED};
-use conferr_formats::{builtin_formats, format_by_name, ConfigFormat};
+use conferr_formats::{builtin_formats, format_by_name, reparse_sites, ConfigFormat};
 use conferr_keyboard::Keyboard;
-use conferr_model::{ConfigSet, ErrorClass, FaultScenario, GeneratedFault, TreeEdit, TypoKind};
+use conferr_model::{
+    edit_sites, ConfigSet, EagerSource, ErrorClass, FaultScenario, FaultSourceExt, GeneratedFault,
+    TreeEdit, TypoKind,
+};
 use conferr_sut::{
     ApacheSim, AppServerSim, BindSim, ConfigPayload, Deadline, DjbdnsSim, FileText, MySqlSim,
     PostgresSim, StartOutcome, SystemUnderTest, TestOutcome,
@@ -42,6 +52,42 @@ fn table1(set: &ConfigSet) -> Vec<GeneratedFault> {
 
 fn appserver(set: &ConfigSet) -> Vec<GeneratedFault> {
     appserver_faultload(set, &Keyboard::qwerty_us())
+}
+
+/// The stream benchmark's sampling rate over a load × load product.
+const STREAM_RATE: f64 = 0.1;
+
+/// Every `left` × `right` pair as one two-edit fault, thinned by the
+/// stream benchmark's seeded sample at `rate`.
+fn pairs(
+    left: Vec<GeneratedFault>,
+    right: Vec<GeneratedFault>,
+    seed: u64,
+    rate: f64,
+) -> Vec<GeneratedFault> {
+    EagerSource::new(left)
+        .product(EagerSource::new(right))
+        .sample(seed, rate)
+        .collect_all()
+        .expect("eager sources do not fail")
+}
+
+/// The Table 1 load crossed with itself, sampled like stream.
+fn table1_pairs(set: &ConfigSet) -> Vec<GeneratedFault> {
+    pairs(table1(set), table1(set), DEFAULT_SEED, STREAM_RATE)
+}
+
+/// The fallback load crossed with the Table 1 load: two-edit faults
+/// whose first site defeats the edit-local re-parse. Sampled more
+/// thinly than stream, since the fallback load is several times
+/// larger.
+fn fallback_pairs(set: &ConfigSet) -> Vec<GeneratedFault> {
+    pairs(
+        fallbacks(set),
+        table1(set),
+        DEFAULT_SEED,
+        STREAM_RATE / 10.0,
+    )
 }
 
 /// Single-node edits of every directive that the edit-local re-parse
@@ -141,13 +187,10 @@ impl Replayer {
                 let format = self.formats.get(file)?;
                 let text = FileText::mutated(format.serialize(tree).ok()?);
                 let parser = parse_with(format.as_ref());
-                // A single-node edit takes the engine's edit-local path.
-                let site = match scenario.edits.as_slice() {
-                    [edit] => edit.site(),
-                    _ => None,
-                };
-                let text = match site {
-                    Some(site) => text.with_edit_parse(parser.as_ref(), (**tree).clone(), &site),
+                // A file whose sites are known takes the engine's
+                // edit-local path, whatever the number of edits.
+                let text = match edit_sites(&scenario.edits, file) {
+                    Some(sites) => text.with_edit_parse(parser.as_ref(), (**tree).clone(), &sites),
                     None => text.with_parse(parser.as_ref()),
                 };
                 payload.insert(file.to_string(), text);
@@ -296,6 +339,28 @@ fn shared_parse_is_invisible_under_fallbacks() {
 }
 
 #[test]
+fn shared_parse_is_invisible_under_table1_pairs() {
+    for factory in [
+        sut_factory(MySqlSim::new),
+        sut_factory(PostgresSim::new),
+        sut_factory(ApacheSim::new),
+    ] {
+        check_system(factory, table1_pairs);
+    }
+}
+
+#[test]
+fn shared_parse_is_invisible_under_fallback_pairs() {
+    for factory in [
+        sut_factory(MySqlSim::new),
+        sut_factory(PostgresSim::new),
+        sut_factory(ApacheSim::new),
+    ] {
+        check_system(factory, fallback_pairs);
+    }
+}
+
+#[test]
 fn edit_local_parse_covers_table1_loads() {
     for factory in [
         sut_factory(MySqlSim::new),
@@ -335,6 +400,61 @@ fn edit_local_parse_covers_table1_loads() {
         assert!(
             local * 100 >= single * 99,
             "{}: {local} of {single} single-node faults re-parsed locally",
+            sut.name()
+        );
+    }
+}
+
+#[test]
+fn edit_local_parse_covers_stream_loads() {
+    // (system, least share in percent of applied same-file two-edit
+    // faults that re-parse locally)
+    for (factory, floor) in [
+        (sut_factory(MySqlSim::new), 85),
+        (sut_factory(PostgresSim::new), 85),
+        (sut_factory(ApacheSim::new), 95),
+    ] {
+        let sut = factory.create();
+        let replayer = Replayer::new(sut.as_ref());
+        let (mut compound, mut local) = (0usize, 0usize);
+        for seed in [7, 3] {
+            let load = table1_faultload(&replayer.baseline, &Keyboard::qwerty_us(), seed);
+            for fault in pairs(load.clone(), load, seed, STREAM_RATE) {
+                let GeneratedFault::Scenario(scenario) = fault else {
+                    continue;
+                };
+                let [first, second] = scenario.edits.as_slice() else {
+                    continue;
+                };
+                let file = first.file();
+                if second.file() != file {
+                    continue;
+                }
+                let Ok(mut edited) = scenario.apply(&replayer.baseline) else {
+                    continue;
+                };
+                let format = &replayer.formats[file];
+                let tree = edited.remove(file).expect("edited file");
+                if format.serialize(&tree).is_err() {
+                    continue;
+                }
+                compound += 1;
+                let Some(sites) = edit_sites(&scenario.edits, file) else {
+                    continue;
+                };
+                if reparse_sites(format.as_ref(), Arc::unwrap_or_clone(tree), &sites).is_some() {
+                    local += 1;
+                }
+            }
+        }
+        assert!(
+            compound > 1000,
+            "{}: {compound} two-edit faults",
+            sut.name()
+        );
+        assert!(
+            local * 100 >= compound * floor,
+            "{}: {local} of {compound} two-edit faults re-parsed locally",
             sut.name()
         );
     }
