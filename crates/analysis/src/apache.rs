@@ -154,14 +154,13 @@ pub const FS_FILES: &[&str] = &[
     "/var/www/cgi-bin/status",
 ];
 
-/// Replays `VirtualFs::dir_exists` over [`FS_FILES`].
+/// Replays `VirtualFs::dir_exists` over [`FS_FILES`]: some file lives
+/// under `dir` (with or without its trailing `/`).
 pub fn fs_dir_exists(dir: &str) -> bool {
-    let prefix = if dir.ends_with('/') {
-        dir.to_string()
-    } else {
-        format!("{dir}/")
-    };
-    FS_FILES.iter().any(|p| p.starts_with(&prefix))
+    FS_FILES.iter().any(|p| {
+        p.strip_prefix(dir)
+            .is_some_and(|rest| dir.ends_with('/') || rest.starts_with('/'))
+    })
 }
 
 /// Apache name resolution: case-insensitive, exact (no truncation).
@@ -327,9 +326,9 @@ fn collect_aliases(node: &Node) -> Vec<(String, String)> {
     for d in node.children_of_kind("directive") {
         let name = d.attr("name").unwrap_or("");
         if name.eq_ignore_ascii_case("Alias") || name.eq_ignore_ascii_case("ScriptAlias") {
-            let args: Vec<&str> = d.text().unwrap_or("").split_whitespace().collect();
-            if args.len() == 2 {
-                out.push((args[0].to_string(), args[1].to_string()));
+            let mut args = d.text().unwrap_or("").split_whitespace();
+            if let (Some(url), Some(path), None) = (args.next(), args.next(), args.next()) {
+                out.push((url.to_string(), path.to_string()));
             }
         }
     }
@@ -459,10 +458,9 @@ pub fn startup_model(root: &Node) -> Result<StartupModel, Violation> {
 /// # Errors
 ///
 /// The first fatal [`Violation`], when validation fails.
-pub fn fingerprint(root: &Node) -> Result<String, Violation> {
+pub fn fingerprint(root: &Node) -> Result<StartupModel, Violation> {
     validate_tree(root)?;
-    let model = startup_model(root)?;
-    Ok(format!("{model:?}"))
+    startup_model(root)
 }
 
 #[cfg(test)]

@@ -29,8 +29,10 @@ use conferr_formats::{format_by_name, ConfigFormat, ParseError, TextParse};
 use conferr_model::{edit_sites, ConfigSet, ErrorClass, FaultScenario, TreeEdit, TypoKind};
 use conferr_tree::{ConfTree, Node};
 
+use crate::apache::StartupModel;
 use crate::schema::{Dialect, DirectiveSchema, FileSchema};
 use crate::touch::{touch_of_edits, FileTouch, TouchMap};
+use crate::value::ResolvedVars;
 use crate::verdict::StaticVerdict;
 
 /// Memo entries are dropped wholesale past this size to bound memory
@@ -89,7 +91,7 @@ pub struct FaultLinter {
     schema: &'static DirectiveSchema,
     baseline: ConfigSet,
     formats: BTreeMap<&'static str, Box<dyn ConfigFormat>>,
-    baseline_fps: BTreeMap<&'static str, Option<String>>,
+    baseline_fps: BTreeMap<&'static str, Option<Fingerprint>>,
     memo: Mutex<HashMap<Vec<TreeEdit>, Lint>>,
 }
 
@@ -324,18 +326,48 @@ fn whole_file_touch(file: &str) -> TouchMap {
     map
 }
 
-/// Runs the dialect's validator and returns the semantic fingerprint.
-fn dialect_check(dialect: Dialect, root: &Node) -> Result<String, crate::verdict::Violation> {
-    match dialect {
-        Dialect::MySqlIni => crate::mysql::fingerprint(root),
-        Dialect::PostgresKv => crate::postgres::fingerprint(root),
-        Dialect::ApacheHttpd => crate::apache::fingerprint(root),
-        Dialect::TinyDns => crate::tinydns::fingerprint(root),
-        Dialect::BindZone | Dialect::AppServerXml => Ok(String::new()),
-    }
+/// A file's semantic fingerprint: everything the functional tests can
+/// observe of the started system, as the dialect's own typed value.
+///
+/// The linter compares fingerprints with `==`. Earlier the linter
+/// compared their `Debug` renderings, and the two comparisons agree:
+/// every field is a string, an integer, or an `Option`, `Vec`, tuple
+/// or `BTreeMap` of those, whose derived `Debug` output quotes and
+/// escapes each string and delimits each collection, so it is
+/// injective, and two values render equally exactly when they are
+/// equal. The mysql and postgres maps are seeded with every name of
+/// their fixed registry, so their key sets never differ; a borrowed
+/// and an owned value compare (and render) by their text.
+#[derive(PartialEq)]
+enum Fingerprint {
+    /// The resolved server variables and the `mysqldump` check's
+    /// diagnostic, if any.
+    MySql(ResolvedVars, Option<String>),
+    /// The resolved parameters.
+    Postgres(ResolvedVars),
+    /// The startup model, warnings included.
+    Apache(StartupModel),
+    /// The rendered `(type, payload)` data-line sequence.
+    TinyDns(String),
+    /// A dialect without a model.
+    Unmodeled,
 }
 
-fn dialect_fingerprint(dialect: Dialect, root: &Node) -> Option<String> {
+/// Runs the dialect's validator and returns the semantic fingerprint.
+fn dialect_check(dialect: Dialect, root: &Node) -> Result<Fingerprint, crate::verdict::Violation> {
+    Ok(match dialect {
+        Dialect::MySqlIni => {
+            let (vars, dump_error) = crate::mysql::fingerprint(root)?;
+            Fingerprint::MySql(vars, dump_error)
+        }
+        Dialect::PostgresKv => Fingerprint::Postgres(crate::postgres::fingerprint(root)?),
+        Dialect::ApacheHttpd => Fingerprint::Apache(crate::apache::fingerprint(root)?),
+        Dialect::TinyDns => Fingerprint::TinyDns(crate::tinydns::fingerprint(root)?),
+        Dialect::BindZone | Dialect::AppServerXml => Fingerprint::Unmodeled,
+    })
+}
+
+fn dialect_fingerprint(dialect: Dialect, root: &Node) -> Option<Fingerprint> {
     if !dialect.is_fully_modeled() {
         return None;
     }

@@ -7,14 +7,20 @@
 //! out-of-bounds values, `1M0` suffix parsing, valueless directives,
 //! latent tool-section errors) therefore behaves identically on the
 //! static and dynamic paths.
+//!
+//! The resolved server variables ([`ResolvedVars`]) borrow their
+//! names and defaults from [`SERVER_REGISTRY`]: validation starts from
+//! a copy of a defaults map built once, and only the values a
+//! `[mysqld]` line sets are owned.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::sync::LazyLock;
 
 use conferr_tree::Node;
 
 use crate::value::{
     parse_bool_mysql, parse_int_strict, parse_size_mysql, resolve_prefix, DirectiveSpec,
-    MySqlParse, PrefixError, ValueType,
+    MySqlParse, PrefixError, ResolvedVars, ValueType,
 };
 use crate::verdict::{ValidationClass, Violation};
 
@@ -350,9 +356,21 @@ pub fn path_is_valid(path: &str) -> bool {
     }
 }
 
+/// Every server variable at its registry default, built once.
+static SERVER_DEFAULTS: LazyLock<ResolvedVars> = LazyLock::new(|| {
+    SERVER_REGISTRY
+        .iter()
+        .map(|s| (s.name, Cow::Borrowed(s.default)))
+        .collect()
+});
+
 /// Normalises an option name: `-` and `_` are interchangeable.
-pub fn normalize_name(name: &str) -> String {
-    name.replace('-', "_")
+pub fn normalize_name(name: &str) -> Cow<'_, str> {
+    if name.contains('-') {
+        Cow::Owned(name.replace('-', "_"))
+    } else {
+        Cow::Borrowed(name)
+    }
 }
 
 /// All canonical server-variable names a raw spelling may resolve to:
@@ -364,7 +382,7 @@ pub fn canonical_names(raw: &str) -> Vec<String> {
     let name = normalize_name(raw);
     match resolve_prefix(SERVER_REGISTRY.iter().map(|s| s.name), &name) {
         Ok(n) => vec![n.to_string()],
-        Err(PrefixError::Unknown) => vec![name],
+        Err(PrefixError::Unknown) => vec![name.into_owned()],
         Err(PrefixError::Ambiguous { candidates }) => candidates,
     }
 }
@@ -377,24 +395,21 @@ pub fn canonical_names(raw: &str) -> Vec<String> {
 ///
 /// A [`Violation`] whose `message` is the verbatim `mysqld` startup
 /// diagnostic.
-pub fn absorb_server_directive(
-    vars: &mut BTreeMap<String, String>,
-    node: &Node,
-) -> Result<(), Violation> {
+pub fn absorb_server_directive(vars: &mut ResolvedVars, node: &Node) -> Result<(), Violation> {
     let raw_name = node.attr("name").unwrap_or("");
     let name = normalize_name(raw_name);
     let spec_name = match resolve_prefix(SERVER_REGISTRY.iter().map(|s| s.name), &name) {
         Ok(n) => n,
         Err(PrefixError::Unknown) => {
             return Err(Violation::new(
-                name,
+                name.into_owned(),
                 ValidationClass::UnknownDirective,
                 format!("unknown variable '{raw_name}'"),
             ));
         }
         Err(PrefixError::Ambiguous { candidates }) => {
             return Err(Violation::new(
-                name,
+                name.into_owned(),
                 ValidationClass::AmbiguousDirective,
                 format!(
                     "ambiguous option '{raw_name}' (could be {})",
@@ -410,25 +425,26 @@ pub fn absorb_server_directive(
     let bare = node.attr("bare") == Some("yes");
     let raw_value = node.text().unwrap_or("");
 
+    let default = Cow::Borrowed(spec.default);
     let value = if bare {
         match spec.vtype {
             // A bare option enables boolean flags ...
-            ValueType::Bool => "1".to_string(),
+            ValueType::Bool => Cow::Borrowed("1"),
             // ... and is silently replaced by the default for
             // value-carrying directives (flaw).
-            _ => spec.default.to_string(),
+            _ => default,
         }
     } else if raw_value.is_empty() && !matches!(spec.vtype, ValueType::Bool) {
         // FLAW (paper §5.2): directives without a value are
         // accepted and replaced with defaults.
-        spec.default.to_string()
+        default
     } else {
         match spec.vtype {
             ValueType::Int { min, max } => match parse_int_strict(raw_value) {
-                Some(v) if v >= min && v <= max => v.to_string(),
+                Some(v) if v >= min && v <= max => Cow::Owned(v.to_string()),
                 // FLAW (paper §5.2): out-of-bounds values are
                 // silently ignored and the default used instead.
-                Some(_) => spec.default.to_string(),
+                Some(_) => default,
                 None => {
                     return Err(Violation::new(
                         spec_name,
@@ -443,11 +459,11 @@ pub fn absorb_server_directive(
             ValueType::Size { min, max } => match parse_size_mysql(raw_value) {
                 // FLAW: suffix parsing stops at the first
                 // multiplier symbol, so "1M0" lands here as 1 MiB.
-                MySqlParse::Value(v) if v >= min && v <= max => v.to_string(),
+                MySqlParse::Value(v) if v >= min && v <= max => Cow::Owned(v.to_string()),
                 // FLAW: out-of-bounds → silent default.
-                MySqlParse::Value(_) => spec.default.to_string(),
+                MySqlParse::Value(_) => default,
                 // FLAW: suffix-leading values → silent default.
-                MySqlParse::SilentDefault => spec.default.to_string(),
+                MySqlParse::SilentDefault => default,
                 MySqlParse::Invalid => {
                     return Err(Violation::new(
                         spec_name,
@@ -457,7 +473,7 @@ pub fn absorb_server_directive(
                 }
             },
             ValueType::Bool => match parse_bool_mysql(raw_value) {
-                Some(v) => u8::from(v).to_string(),
+                Some(v) => Cow::Borrowed(if v { "1" } else { "0" }),
                 // Boolean typos ARE detected (paper §5.5 excludes
                 // booleans because both systems catch them).
                 None => {
@@ -472,7 +488,7 @@ pub fn absorb_server_directive(
             },
             ValueType::Enum(options) => {
                 match options.iter().find(|o| o.eq_ignore_ascii_case(raw_value)) {
-                    Some(o) => o.to_string(),
+                    Some(o) => Cow::Borrowed(*o),
                     None => {
                         return Err(Violation::new(
                             spec_name,
@@ -485,27 +501,25 @@ pub fn absorb_server_directive(
                     }
                 }
             }
-            ValueType::Float { .. } | ValueType::Text => raw_value.to_string(),
+            ValueType::Float { .. } | ValueType::Text => Cow::Owned(raw_value.to_string()),
         }
     };
-    vars.insert(spec_name.to_string(), value);
+    vars.insert(spec.name, value);
     Ok(())
 }
 
 /// The `mysqld` startup validation over a parsed `my.cnf` tree: seed
 /// defaults, absorb the `[mysqld]` group (only — other groups stay
 /// latent), then check path-valued directives. Returns the resolved
-/// server variables.
+/// server variables, every name and unset default borrowed from
+/// [`SERVER_REGISTRY`].
 ///
 /// # Errors
 ///
 /// The first fatal [`Violation`], exactly as `mysqld` would report it.
-pub fn validate_server_config(root: &Node) -> Result<BTreeMap<String, String>, Violation> {
+pub fn validate_server_config(root: &Node) -> Result<ResolvedVars, Violation> {
     // Seed every variable with its default, then absorb [mysqld].
-    let mut vars: BTreeMap<String, String> = SERVER_REGISTRY
-        .iter()
-        .map(|s| (s.name.to_string(), s.default.to_string()))
-        .collect();
+    let mut vars = SERVER_DEFAULTS.clone();
     // DESIGN FLAW (paper §5.2): only the server's own group is
     // parsed at startup; every other group — [client],
     // [mysqldump], even misspelled group names — is skipped, so
@@ -550,7 +564,7 @@ pub fn check_dump_config(root: &Node) -> Result<(), Violation> {
             let name = normalize_name(node.attr("name").unwrap_or(""));
             if resolve_prefix(DUMP_REGISTRY.iter().map(|s| s.name), &name).is_err() {
                 return Err(Violation::new(
-                    name.clone(),
+                    name.as_ref(),
                     ValidationClass::UnknownDirective,
                     format!("mysqldump: unknown option '--{name}'"),
                 ));
@@ -564,15 +578,16 @@ pub fn check_dump_config(root: &Node) -> Result<(), Violation> {
 /// everything the functional tests can observe. `connect-and-query`
 /// reads the resolved server variables (port, engine limits);
 /// `mysqldump-tool` re-reads the tool sections, so their resolution
-/// state is folded in too.
+/// state is folded in too: the fingerprint is the resolved variables
+/// and the tool check's diagnostic, if any.
 ///
 /// # Errors
 ///
 /// The fatal startup [`Violation`], when validation fails.
-pub fn fingerprint(root: &Node) -> Result<String, Violation> {
+pub fn fingerprint(root: &Node) -> Result<(ResolvedVars, Option<String>), Violation> {
     let vars = validate_server_config(root)?;
     let dump = check_dump_config(root).err().map(|v| v.message);
-    Ok(format!("{vars:?}|dump-error:{dump:?}"))
+    Ok((vars, dump))
 }
 
 #[cfg(test)]
@@ -589,9 +604,10 @@ mod tests {
     fn valid_config_resolves_with_defaults_seeded() {
         let tree = parse("[mysqld]\nport=3307\n");
         let vars = validate_server_config(tree.root()).expect("valid");
-        assert_eq!(vars.get("port").map(String::as_str), Some("3307"));
-        // Unset variables carry their defaults.
-        assert_eq!(vars.get("back_log").map(String::as_str), Some("50"));
+        assert_eq!(vars.get("port").map(|v| &**v), Some("3307"));
+        // Unset variables carry their defaults, borrowed from the
+        // registry.
+        assert!(matches!(vars.get("back_log"), Some(Cow::Borrowed("50"))));
     }
 
     #[test]

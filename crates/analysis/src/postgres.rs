@@ -6,12 +6,21 @@
 //! The decision functions here are shared verbatim with
 //! `conferr-sut`'s `PostgresSim`, so every FATAL diagnostic the
 //! linter predicts is the byte-identical string the simulator emits.
+//!
+//! The resolved parameters ([`ResolvedVars`]) borrow their names from
+//! [`REGISTRY`] and their defaults from a table of the defaults'
+//! canonical stored forms, computed once by [`validate_value`];
+//! validation starts from a copy of that table, and only the values a
+//! directive sets are owned.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::sync::LazyLock;
 
 use conferr_tree::Node;
 
-use crate::value::{parse_bool_pg, parse_int_strict, parse_size_strict, DirectiveSpec, ValueType};
+use crate::value::{
+    parse_bool_pg, parse_int_strict, parse_size_strict, DirectiveSpec, ResolvedVars, ValueType,
+};
 use crate::verdict::{ValidationClass, Violation};
 
 /// Registry of configuration parameters (a representative subset of
@@ -156,6 +165,24 @@ pub const REGISTRY: &[DirectiveSpec] = &[
     DirectiveSpec::new("default_with_oids", ValueType::Bool, "off"),
 ];
 
+/// The canonical stored form of every registry default, in registry
+/// order: what [`validate_value`] makes of it.
+static CANONICAL_DEFAULTS: LazyLock<Vec<Cow<'static, str>>> = LazyLock::new(|| {
+    REGISTRY
+        .iter()
+        .map(|s| validate_value(s, s.default).expect("registry defaults are valid"))
+        .collect()
+});
+
+/// Every parameter at its canonical default, built once.
+static DEFAULTS: LazyLock<ResolvedVars> = LazyLock::new(|| {
+    REGISTRY
+        .iter()
+        .zip(CANONICAL_DEFAULTS.iter())
+        .map(|(s, v)| (s.name, Cow::Borrowed(&**v)))
+        .collect()
+});
+
 /// Postgres name resolution: case-insensitive, exact (no truncation).
 /// Returns the canonical lowercase spelling — the unique directive an
 /// edit on `raw` can bind to.
@@ -164,16 +191,17 @@ pub fn canonical_name(raw: &str) -> String {
 }
 
 /// Strictly validates one value against its spec, returning the
-/// canonical stored form or the diagnostic (without `FATAL: ` prefix).
+/// canonical stored form (borrowed when it is a fixed keyword) or the
+/// diagnostic (without `FATAL: ` prefix).
 ///
 /// # Errors
 ///
 /// The verbatim range/type complaint the server logs.
-pub fn validate_value(spec: &DirectiveSpec, raw: &str) -> Result<String, String> {
+pub fn validate_value(spec: &DirectiveSpec, raw: &str) -> Result<Cow<'static, str>, String> {
     let unquoted = raw.trim().trim_matches('\'');
     match spec.vtype {
         ValueType::Int { min, max } => match parse_int_strict(unquoted) {
-            Some(v) if v >= min && v <= max => Ok(v.to_string()),
+            Some(v) if v >= min && v <= max => Ok(Cow::Owned(v.to_string())),
             Some(v) => Err(format!(
                 "{} = {v} is outside the valid range ({min} .. {max})",
                 spec.name
@@ -184,7 +212,7 @@ pub fn validate_value(spec: &DirectiveSpec, raw: &str) -> Result<String, String>
             )),
         },
         ValueType::Size { min, max } => match parse_size_strict(unquoted) {
-            Some(v) if v >= min && v <= max => Ok(v.to_string()),
+            Some(v) if v >= min && v <= max => Ok(Cow::Owned(v.to_string())),
             Some(v) => Err(format!(
                 "{} = {v}B is outside the valid range ({min}B .. {max}B)",
                 spec.name
@@ -195,7 +223,7 @@ pub fn validate_value(spec: &DirectiveSpec, raw: &str) -> Result<String, String>
             )),
         },
         ValueType::Float { min, max } => match unquoted.parse::<f64>() {
-            Ok(v) if v >= min && v <= max => Ok(v.to_string()),
+            Ok(v) if v >= min && v <= max => Ok(Cow::Owned(v.to_string())),
             Ok(v) => Err(format!(
                 "{} = {v} is outside the valid range ({min} .. {max})",
                 spec.name
@@ -206,7 +234,7 @@ pub fn validate_value(spec: &DirectiveSpec, raw: &str) -> Result<String, String>
             )),
         },
         ValueType::Bool => match parse_bool_pg(unquoted) {
-            Some(v) => Ok(if v { "on" } else { "off" }.to_string()),
+            Some(v) => Ok(Cow::Borrowed(if v { "on" } else { "off" })),
             None => Err(format!(
                 "parameter \"{}\" requires a Boolean value, got \"{raw}\"",
                 spec.name
@@ -214,14 +242,14 @@ pub fn validate_value(spec: &DirectiveSpec, raw: &str) -> Result<String, String>
         },
         ValueType::Enum(options) => {
             match options.iter().find(|o| o.eq_ignore_ascii_case(unquoted)) {
-                Some(o) => Ok(o.to_string()),
+                Some(o) => Ok(Cow::Borrowed(*o)),
                 None => Err(format!(
                     "invalid value for parameter \"{}\": \"{raw}\"",
                     spec.name
                 )),
             }
         }
-        ValueType::Text => Ok(unquoted.to_string()),
+        ValueType::Text => Ok(Cow::Owned(unquoted.to_string())),
     }
 }
 
@@ -231,7 +259,7 @@ pub fn validate_value(spec: &DirectiveSpec, raw: &str) -> Result<String, String>
 /// # Errors
 ///
 /// The verbatim constraint complaint (without `FATAL: ` prefix).
-pub fn check_cross_constraints(vars: &BTreeMap<String, String>) -> Result<(), String> {
+pub fn check_cross_constraints(vars: &ResolvedVars) -> Result<(), String> {
     let get_i64 = |name: &str| -> i64 { vars.get(name).and_then(|v| v.parse().ok()).unwrap_or(0) };
     let max_fsm_pages = get_i64("max_fsm_pages");
     let max_fsm_relations = get_i64("max_fsm_relations");
@@ -261,30 +289,27 @@ pub fn check_cross_constraints(vars: &BTreeMap<String, String>) -> Result<(), St
 
 /// The full startup validation over a parsed `postgresql.conf` tree:
 /// strict per-parameter validation then cross-directive constraints.
-/// Returns the resolved parameter map.
+/// Returns the resolved parameter map, every name and unset default
+/// borrowed.
 ///
 /// # Errors
 ///
 /// The first fatal [`Violation`]; its `message` carries the verbatim
 /// `FATAL: ...` diagnostic.
-pub fn validate_config(root: &Node) -> Result<BTreeMap<String, String>, Violation> {
-    let mut vars: BTreeMap<String, String> = REGISTRY
-        .iter()
-        .map(|s| {
-            (s.name.to_string(), {
-                // Defaults pass through the same validator so the
-                // stored form is canonical.
-                validate_value(s, s.default).expect("registry defaults are valid")
-            })
-        })
-        .collect();
+pub fn validate_config(root: &Node) -> Result<ResolvedVars, Violation> {
+    // Defaults passed through the same validator, so the stored form
+    // is canonical.
+    let mut vars = DEFAULTS.clone();
     for node in root.children_of_kind("directive") {
         let raw_name = node.attr("name").unwrap_or("");
-        // Case-insensitive, *exact* (no truncation) lookup.
-        let lower = raw_name.to_ascii_lowercase();
-        let Some(spec) = REGISTRY.iter().find(|s| s.name == lower) else {
+        // Case-insensitive, *exact* (no truncation) lookup; registry
+        // names are lowercase.
+        let Some(spec) = REGISTRY
+            .iter()
+            .find(|s| s.name.eq_ignore_ascii_case(raw_name))
+        else {
             return Err(Violation::new(
-                lower,
+                canonical_name(raw_name),
                 ValidationClass::UnknownDirective,
                 format!("FATAL: unrecognized configuration parameter \"{raw_name}\""),
             ));
@@ -311,7 +336,7 @@ pub fn validate_config(root: &Node) -> Result<BTreeMap<String, String>, Violatio
         }
         match validate_value(spec, raw_value) {
             Ok(v) => {
-                vars.insert(spec.name.to_string(), v);
+                vars.insert(spec.name, v);
             }
             Err(msg) => {
                 return Err(Violation::new(
@@ -345,9 +370,8 @@ pub fn validate_config(root: &Node) -> Result<BTreeMap<String, String>, Violatio
 /// # Errors
 ///
 /// The fatal startup [`Violation`], when validation fails.
-pub fn fingerprint(root: &Node) -> Result<String, Violation> {
-    let vars = validate_config(root)?;
-    Ok(format!("{vars:?}"))
+pub fn fingerprint(root: &Node) -> Result<ResolvedVars, Violation> {
+    validate_config(root)
 }
 
 #[cfg(test)]
@@ -364,8 +388,30 @@ mod tests {
     fn valid_config_resolves() {
         let tree = parse("max_connections = 90\nshared_buffers = 1000\n");
         let vars = validate_config(tree.root()).expect("valid");
-        assert_eq!(vars.get("max_connections").map(String::as_str), Some("90"));
-        assert_eq!(vars.get("port").map(String::as_str), Some("5432"));
+        assert_eq!(vars.get("max_connections").map(|v| &**v), Some("90"));
+        assert_eq!(vars.get("port").map(|v| &**v), Some("5432"));
+    }
+
+    #[test]
+    fn defaults_are_canonical_and_borrowed() {
+        let vars = validate_config(parse("port = 5432\n").root()).expect("valid");
+        assert_eq!(vars.len(), REGISTRY.len());
+        for spec in REGISTRY {
+            assert_eq!(spec.name, canonical_name(spec.name), "lowercase name");
+            if spec.name == "port" {
+                continue;
+            }
+            let canonical = validate_value(spec, spec.default).unwrap();
+            assert!(
+                matches!(vars.get(spec.name), Some(Cow::Borrowed(v)) if **v == *canonical),
+                "{}",
+                spec.name
+            );
+        }
+        // A size default is stored in bytes, a float in its shortest
+        // form.
+        assert_eq!(vars.get("work_mem").map(|v| &**v), Some("1048576"));
+        assert_eq!(vars.get("random_page_cost").map(|v| &**v), Some("4"));
     }
 
     #[test]

@@ -8,7 +8,15 @@
 //! the static linter in this crate call the very same functions,
 //! which is what makes static verdicts sound by construction.
 
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::fmt;
+
+/// A server's resolved variables: canonical name → stored value. Names
+/// are the registry's own `&'static str`s and unset variables borrow
+/// their registry default, so only values a configuration sets are
+/// owned.
+pub type ResolvedVars = BTreeMap<&'static str, Cow<'static, str>>;
 
 /// The value domain of a directive.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,11 +105,20 @@ pub fn parse_int_prefix(s: &str) -> Option<i64> {
         Some(r) => (-1i64, r),
         None => (1, t.strip_prefix('+').unwrap_or(t)),
     };
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+    let digits = leading_digits(rest);
     if digits.is_empty() {
         return None;
     }
     digits.parse::<i64>().ok().map(|v| sign * v)
+}
+
+/// The longest prefix of `s` made of ASCII digits.
+fn leading_digits(s: &str) -> &str {
+    let end = s
+        .bytes()
+        .position(|b| !b.is_ascii_digit())
+        .unwrap_or(s.len());
+    &s[..end]
 }
 
 /// Strict size parse: an integer followed by *exactly* one optional
@@ -110,19 +127,23 @@ pub fn parse_int_prefix(s: &str) -> Option<i64> {
 /// bare `K`/`M`/`G`).
 pub fn parse_size_strict(s: &str) -> Option<u64> {
     let t = s.trim();
-    let digits: String = t.chars().take_while(char::is_ascii_digit).collect();
+    let digits = leading_digits(t);
     if digits.is_empty() {
         return None;
     }
     let value: u64 = digits.parse().ok()?;
     let suffix = &t[digits.len()..];
-    let multiplier = match suffix.to_ascii_lowercase().as_str() {
-        "" => 1,
-        "k" | "kb" => 1024,
-        "m" | "mb" => 1024 * 1024,
-        "g" | "gb" => 1024 * 1024 * 1024,
-        _ => return None,
-    };
+    let multiplier = [
+        ("", 1),
+        ("k", 1024),
+        ("kb", 1024),
+        ("m", 1024 * 1024),
+        ("mb", 1024 * 1024),
+        ("g", 1024 * 1024 * 1024),
+        ("gb", 1024 * 1024 * 1024),
+    ]
+    .into_iter()
+    .find_map(|(unit, m)| suffix.eq_ignore_ascii_case(unit).then_some(m))?;
     value.checked_mul(multiplier)
 }
 
@@ -146,7 +167,7 @@ pub enum MySqlParse {
 /// rejected with a startup error, as the real option parser does.
 pub fn parse_size_mysql(s: &str) -> MySqlParse {
     let t = s.trim();
-    let digits: String = t.chars().take_while(char::is_ascii_digit).collect();
+    let digits = leading_digits(t);
     if digits.is_empty() {
         // The documented flaw: a value *starting* with a multiplier
         // suffix is silently replaced by the default.
@@ -181,20 +202,23 @@ fn mul(value: u64, multiplier: u64) -> MySqlParse {
 
 /// MySQL boolean spellings.
 pub fn parse_bool_mysql(s: &str) -> Option<bool> {
-    match s.trim().to_ascii_uppercase().as_str() {
-        "1" | "ON" | "TRUE" | "YES" => Some(true),
-        "0" | "OFF" | "FALSE" | "NO" => Some(false),
-        _ => None,
-    }
+    parse_bool_spelling(s.trim())
 }
 
 /// Postgres boolean spellings.
 pub fn parse_bool_pg(s: &str) -> Option<bool> {
-    let t = s.trim().trim_matches('\'');
-    match t.to_ascii_lowercase().as_str() {
-        "on" | "true" | "yes" | "1" => Some(true),
-        "off" | "false" | "no" | "0" => Some(false),
-        _ => None,
+    parse_bool_spelling(s.trim().trim_matches('\''))
+}
+
+/// The boolean spellings both servers accept, case-insensitively.
+fn parse_bool_spelling(t: &str) -> Option<bool> {
+    let is_any = |words: &[&str]| words.iter().any(|w| t.eq_ignore_ascii_case(w));
+    if is_any(&["1", "on", "true", "yes"]) {
+        Some(true)
+    } else if is_any(&["0", "off", "false", "no"]) {
+        Some(false)
+    } else {
+        None
     }
 }
 
@@ -205,31 +229,31 @@ pub fn parse_bool_pg(s: &str) -> Option<bool> {
 /// # Errors
 ///
 /// [`PrefixError::Unknown`] when nothing matches,
-/// [`PrefixError::Ambiguous`] when several entries share the prefix.
+/// [`PrefixError::Ambiguous`] when several entries share the prefix
+/// (candidates in registry order).
 pub fn resolve_prefix<'a>(
-    registry: impl Iterator<Item = &'a str>,
+    registry: impl Iterator<Item = &'a str> + Clone,
     name: &str,
 ) -> Result<&'a str, PrefixError> {
-    let mut exact: Option<&'a str> = None;
-    let mut matches: Vec<&'a str> = Vec::new();
-    for candidate in registry {
+    let mut first: Option<&'a str> = None;
+    let mut ambiguous = false;
+    for candidate in registry.clone() {
         if candidate == name {
-            exact = Some(candidate);
+            return Ok(candidate);
         }
         if candidate.starts_with(name) {
-            matches.push(candidate);
+            ambiguous |= first.is_some();
+            first.get_or_insert(candidate);
         }
     }
-    if let Some(e) = exact {
-        return Ok(e);
-    }
-    match matches.len() {
-        0 => Err(PrefixError::Unknown),
-        1 => Ok(matches[0]),
-        _ => Err(PrefixError::Ambiguous {
-            candidates: matches
-                .iter()
-                .map(std::string::ToString::to_string)
+    match first {
+        None => Err(PrefixError::Unknown),
+        Some(only) if !ambiguous => Ok(only),
+        // Only a failing lookup pays for the candidate list.
+        Some(_) => Err(PrefixError::Ambiguous {
+            candidates: registry
+                .filter(|c| c.starts_with(name))
+                .map(str::to_string)
                 .collect(),
         }),
     }

@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use conferr_analysis::apache::{startup_model, validate_tree, StartupModel};
+use conferr_analysis::apache::{startup_model, validate_tree, StartupModel, FS_FILES};
 use conferr_analysis::{Dialect, DirectiveSchema, APACHE_SCHEMA};
 use conferr_formats::{ApacheFormat, ParseError};
 use conferr_tree::ConfTree;
@@ -167,17 +167,23 @@ const PROBE_PORT: u16 = 80;
 const PROBE_HOST: &str = "www.example.com";
 const PROBE_PATH: &str = "/";
 
+/// The contents of each of [`FS_FILES`], in the same order.
+const FS_CONTENTS: [&str; FS_FILES.len()] = [
+    "<html><body>It works!</body></html>",
+    "\u{89}PNG...",
+    "<html><body>Docs</body></html>",
+    "<html>Manual</html>",
+    "GIF89a",
+    "#!/bin/sh",
+];
+
+/// The simulated host's filesystem: exactly the files the linter's
+/// `DocumentRoot` check models.
 fn builtin_fs() -> VirtualFs {
     let mut fs = VirtualFs::new();
-    fs.add_file(
-        "/var/www/html/index.html",
-        "<html><body>It works!</body></html>",
-    );
-    fs.add_file("/var/www/html/logo.png", "\u{89}PNG...");
-    fs.add_file("/var/www/docs/index.html", "<html><body>Docs</body></html>");
-    fs.add_file("/var/www/docs/manual/intro.html", "<html>Manual</html>");
-    fs.add_file("/var/www/icons/unknown.gif", "GIF89a");
-    fs.add_file("/var/www/cgi-bin/status", "#!/bin/sh");
+    for (path, contents) in FS_FILES.iter().zip(FS_CONTENTS) {
+        fs.add_file(*path, contents);
+    }
     fs
 }
 
@@ -221,29 +227,42 @@ impl ApacheSim {
             parsed.map_err(|e| Dialect::ApacheHttpd.parse_failure_diagnostic(&e.to_string()))?;
         validate_tree(tree.root()).map_err(|v| v.message)?;
         let model = startup_model(tree.root()).map_err(|v| v.message)?;
-        Ok((Arc::new(Self::service_from_model(&model)), model.warnings))
+        let (service, warnings) = Self::service_from_model(model);
+        Ok((Arc::new(service), warnings))
     }
 
-    fn service_from_model(model: &StartupModel) -> HttpService {
-        HttpService {
+    /// Assembles the service from the model's fields (moved, not
+    /// copied), returning it with the startup warnings.
+    fn service_from_model(model: StartupModel) -> (HttpService, Vec<String>) {
+        let StartupModel {
+            warnings,
+            listen_ports,
+            main_doc_root,
+            directory_index,
+            default_type,
+            mime_types,
+            main_aliases,
+            vhosts,
+        } = model;
+        let service = HttpService {
             fs: builtin_fs(),
-            listen_ports: model.listen_ports.clone(),
-            main_doc_root: model.main_doc_root.clone(),
-            main_aliases: model.main_aliases.clone(),
-            directory_index: model.directory_index.clone(),
-            default_type: model.default_type.clone(),
-            mime_types: model.mime_types.clone(),
-            vhosts: model
-                .vhosts
-                .iter()
+            listen_ports,
+            main_doc_root,
+            main_aliases,
+            directory_index,
+            default_type,
+            mime_types,
+            vhosts: vhosts
+                .into_iter()
                 .map(|v| VirtualHost {
-                    server_name: v.server_name.clone(),
-                    doc_root: v.doc_root.clone(),
-                    aliases: v.aliases.clone(),
-                    addr_pattern: v.addr_pattern.clone(),
+                    server_name: v.server_name,
+                    doc_root: v.doc_root,
+                    aliases: v.aliases,
+                    addr_pattern: v.addr_pattern,
                 })
                 .collect(),
-        }
+        };
+        (service, warnings)
     }
 }
 
@@ -582,5 +601,25 @@ mod tests {
             *t = t.replace("</VirtualHost>", "</VirtualHos>");
         });
         assert!(matches!(outcome, StartOutcome::FailedToStart { .. }));
+    }
+
+    #[test]
+    fn builtin_fs_agrees_with_the_linters_directory_check() {
+        let fs = builtin_fs();
+        for path in FS_FILES {
+            assert!(fs.read(path).is_some(), "{path}");
+            // Every prefix, with and without a trailing `/`, and one
+            // character past each `/`.
+            for end in 0..=path.len() {
+                let dir = &path[..end];
+                for probe in [dir.to_string(), format!("{dir}/"), format!("{dir}x")] {
+                    assert_eq!(
+                        fs.dir_exists(&probe),
+                        conferr_analysis::apache::fs_dir_exists(&probe),
+                        "{probe:?}"
+                    );
+                }
+            }
+        }
     }
 }

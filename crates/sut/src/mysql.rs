@@ -25,12 +25,12 @@
 //! *values* are silently absorbed — the asymmetry behind MySQL's
 //! Table 1 row and its poor Figure 3 profile.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use conferr_analysis::mysql::{
     check_dump_config, validate_server_config, DEFAULT_PORT, SERVER_REGISTRY,
 };
+use conferr_analysis::value::ResolvedVars;
 use conferr_analysis::{Dialect, DirectiveSchema, MYSQL_SCHEMA};
 use conferr_formats::{ConfigFormat, IniFormat, ParseError};
 use conferr_tree::ConfTree;
@@ -69,7 +69,7 @@ max_allowed_packet=16M
 
 #[derive(Debug)]
 struct Running {
-    vars: Arc<BTreeMap<String, String>>,
+    vars: Arc<ResolvedVars>,
     engine: Engine,
     port: String,
     raw_config: Arc<str>,
@@ -81,7 +81,7 @@ struct Running {
 /// the mutable query engine is built fresh on every start.
 #[derive(Debug)]
 struct Blueprint {
-    vars: Arc<BTreeMap<String, String>>,
+    vars: Arc<ResolvedVars>,
     port: String,
     limits: EngineLimits,
 }
@@ -147,7 +147,7 @@ impl MySqlSim {
     pub fn server_var(&self, name: &str) -> Option<&str> {
         self.running
             .as_ref()
-            .and_then(|r| r.vars.get(name).map(String::as_str))
+            .and_then(|r| r.vars.get(name).map(|v| &**v))
     }
 
     /// The full startup path from `my.cnf`'s parse: absorb the
@@ -172,10 +172,7 @@ impl MySqlSim {
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(1 << 20),
         };
-        let port = vars
-            .get("port")
-            .cloned()
-            .unwrap_or_else(|| DEFAULT_PORT.to_string());
+        let port = vars.get("port").map_or(DEFAULT_PORT, |v| &**v).to_string();
         Ok(Blueprint {
             vars: Arc::new(vars),
             port,

@@ -16,10 +16,10 @@
 //! * directive names are case-insensitive (Table 2: mixed case
 //!   accepted) but may **not** be truncated (Table 2: rejected).
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use conferr_analysis::postgres::{validate_config, REGISTRY};
+use conferr_analysis::value::ResolvedVars;
 use conferr_analysis::{Dialect, DirectiveSchema, POSTGRES_SCHEMA};
 use conferr_formats::{KvFormat, ParseError};
 use conferr_tree::ConfTree;
@@ -52,7 +52,7 @@ port = 5432
 
 #[derive(Debug)]
 struct Running {
-    vars: Arc<BTreeMap<String, String>>,
+    vars: Arc<ResolvedVars>,
     engine: Engine,
 }
 
@@ -63,7 +63,7 @@ struct Running {
 /// start.
 #[derive(Debug)]
 struct Blueprint {
-    vars: Arc<BTreeMap<String, String>>,
+    vars: Arc<ResolvedVars>,
     limits: EngineLimits,
 }
 
@@ -111,7 +111,7 @@ impl PostgresSim {
     pub fn parameter(&self, name: &str) -> Option<&str> {
         self.running
             .as_ref()
-            .and_then(|r| r.vars.get(name).map(String::as_str))
+            .and_then(|r| r.vars.get(name).map(|v| &**v))
     }
 
     /// The full startup path from `postgresql.conf`'s parse: validate
